@@ -43,7 +43,10 @@ from .grid import (
 )
 from .quadrature import (
     KernelParams,
+    _by_offset,
     _diagonal_jump_correction,
+    _pair_sum,
+    _separation,
     _slope_curvatures,
     background_term,
     kernel_difference,
@@ -183,22 +186,15 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace |
                          "(the multiplier form of the linear term)")
     ws = ws or build_workspace(state.grid)
     g = state.grid
-    x, phi = g.x, state.phi
+    phi = state.phi
     phix = spectral_derivative(state, ws)
 
-    opposing = np.empty(g.n)
-    length = g.length
-    for i in range(0, g.n, max(1, 2_000_000 // g.n)):
-        j = min(g.n, i + max(1, 2_000_000 // g.n))
-        s = x[i:j, None] - x[None, :]
-        s -= length * np.round(s / length)
-        dphi = phi[i:j, None] - phi[None, :]
-        drho = phix[i:j, None] - phix[None, :]
-        mask = np.abs(s) < 0.5 * g.dx
-        s = np.where(mask, 1.0, s)
-        val = drho * kernel_difference(s, dphi)
-        val[mask] = 0.0
-        opposing[i:j] = val.sum(axis=1) * g.dx
+    sep = _by_offset(_separation(g), g.n)
+
+    def opposing_kernel(i0, i1):
+        return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
+
+    opposing = _pair_sum(opposing_kernel, g.n, phix) * g.dx
 
     # same diagonal-kink treatment as the forward grouping, sign folded
     if cfg.kernel.diagonal_mode == "analytic_limit":

@@ -156,7 +156,7 @@ def validate_line_support(state: FrontState, tol: float = 1e-12) -> None:
 
 @dataclass(frozen=True)
 class SpectralWorkspace:
-    """Precomputed wavenumbers, dispersive multiplier, and dealias mask.
+    """Precomputed wavenumbers and dispersive multiplier.
 
     The evolution's linear operator acts in Fourier space as multiplication
     by ``m(xi) = 2i xi log|xi|`` with ``m(0) = 0``. The Nyquist entry is
@@ -169,17 +169,13 @@ class SpectralWorkspace:
         Physical wavenumbers 2*pi*fftfreq(n, dx), numpy FFT ordering.
     symbol : ndarray (complex)
         Tabulated m(xi).
-    dealias : ndarray (bool)
-        2/3-rule mask, |xi| <= (2/3)*max|xi|. Off by default in the
-        dynamics; exposed for experiments with steep fronts.
     """
 
     xi: np.ndarray
     symbol: np.ndarray
-    dealias: np.ndarray
 
     def __post_init__(self):
-        for name in ("xi", "symbol", "dealias"):
+        for name in ("xi", "symbol"):
             arr = getattr(self, name)
             object.__setattr__(self, name, np.asarray(arr))
 
@@ -193,8 +189,7 @@ def build_workspace(grid: LineGrid) -> SpectralWorkspace:
         symbol = 2.0j * xi * np.log(np.abs(xi))
     symbol[0] = 0.0
     symbol[grid.n // 2] = 0.0  # unpaired Nyquist mode, see class docstring
-    dealias = np.abs(xi) <= (2.0 / 3.0) * np.max(np.abs(xi))
-    return SpectralWorkspace(xi=xi, symbol=symbol, dealias=dealias)
+    return SpectralWorkspace(xi=xi, symbol=symbol)
 
 
 def dft(values: np.ndarray) -> np.ndarray:

@@ -41,10 +41,17 @@ from scipy.special import erf
 from .grid import FrontState, far_field_value, finite_difference_derivative
 from .quadrature import (
     KernelParams,
+    _band_half_width,
+    _band_limits,
+    _by_offset,
     _diagonal_jump_correction,
+    _front_kernel,
     _half_tail,
     _log_w_plus_root,
+    _pair_sum,
+    _separation,
     _slope_curvatures,
+    _strip_kernel,
     resolve_depth,
 )
 
@@ -173,28 +180,27 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     c1 = phi + h
     d1 = phi - c_inf
     if params.diagonal_mode == "analytic_limit":
-        diag = -rho / c1
+        diag_strip = -1.0 / c1  # the node carries the smooth value -phi_x / c1
         rho1, rho2 = _slope_curvatures(rho, dx, periodic=False)
         diag_coda = _diagonal_jump_correction("front", rho, rho1, rho2, dx)
     else:
-        diag = np.zeros(n)
+        diag_strip = None
         diag_coda = 0.0
 
-    from .quadrature import _band_limits, _chunks, _row_weights
+    sep = _separation(g)
+    s2 = _by_offset(sep * sep, n)
+    band = _band_half_width(dx, params.window)
+
+    def strip(i0, i1):
+        k = _strip_kernel(c1, s2, i0, i1)
+        return np.negative(k, out=k)
+
+    # front kernel against the slope contrast, minus rho(x) times the strip row sum
+    front = _pair_sum(lambda i0, i1: _front_kernel(phi, s2, i0, i1), n, rho, ends=True, band=band)
+    own = _pair_sum(strip, n, ends=True, band=band, diag=diag_strip)
+    out = (front + rho * own) * dx
 
     jlo, jhi = _band_limits(n, dx, params.window)
-    out = np.empty(n)
-    for i0, i1 in _chunks(n, n):
-        s = x[i0:i1, None] - x[None, :]
-        dphi = phi[i0:i1, None] - phi[None, :]
-        drho = rho[i0:i1, None] - rho[None, :]
-        rows = np.arange(i0, i1)
-        s[rows - i0, rows] = 1.0
-        val = drho / np.hypot(s, dphi) - rho[i0:i1, None] / np.hypot(s, c1[i0:i1, None])
-        val[rows - i0, rows] = diag[i0:i1]
-        wt = _row_weights(jlo[i0:i1], jhi[i0:i1], n)
-        out[i0:i1] = (wt * val).sum(axis=1) * dx
-
     b_r = np.maximum(x[jhi] - x, 0.5 * dx)
     b_l = np.maximum(x - x[jlo], 0.5 * dx)
     tails = _half_tail(b_r, c1, d1) + _half_tail(b_l, c1, d1)
@@ -229,22 +235,18 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     else:
         diag_coda = 0.0
 
-    from .quadrature import _band_limits, _chunks, _row_weights
-
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
-    jlo, jhi = _band_limits(n, dx, params.window)
-    out = np.empty(n)
-    for i0, i1 in _chunks(n, n):
-        s = x[i0:i1, None] - x[None, :]
-        dphi = phi[i0:i1, None] - phi[None, :]
-        drho = rho[i0:i1, None] - rho[None, :]
-        rows = np.arange(i0, i1)
-        s[rows - i0, rows] = 1.0
-        val = drho * (1.0 / np.hypot(s, dphi) - ref[None, :])
-        val[rows - i0, rows] = 0.0  # odd jump (+- phi_xx / sqrt(1+phi_x^2)); average
-        wt = _row_weights(jlo[i0:i1], jhi[i0:i1], n)
-        out[i0:i1] = (wt * val).sum(axis=1) * dx
+    s2 = _by_offset(_separation(g) ** 2, n)
 
+    def anchored(i0, i1):
+        k = _front_kernel(phi, s2, i0, i1)
+        k -= ref
+        return k
+
+    # the diagonal's odd jump (+- phi_xx / sqrt(1+phi_x^2)) averages to 0
+    out = _pair_sum(anchored, n, rho, ends=True, band=_band_half_width(dx, params.window)) * dx
+
+    jlo, jhi = _band_limits(n, dx, params.window)
     b_r = np.maximum(x[jhi] - x, 0.5 * dx)
     b_l = np.maximum(x - x[jlo], 0.5 * dx)
     tail_r = _log_w_plus_root(x[jhi], d) - np.log(b_r + np.hypot(b_r, d1))

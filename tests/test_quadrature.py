@@ -28,6 +28,8 @@ from sqgfronts import (
     resolve_depth,
     scale_identity,
 )
+from sqgfronts import quadrature
+from sqgfronts.quadrature import _by_offset, _pair_sum, _separation
 
 X0 = 0.7
 ORACLE_NONLINEAR = 0.0019610448345700312  # slope-contrast integral against the front kernel
@@ -225,3 +227,66 @@ def test_periodic_state_rejects_window():
     phix = -0.05 * np.sin(g.x)
     with pytest.raises(ValueError):
         nonlinear_term(st, phix, KernelParams(window=5.0))
+
+
+def _band_weights(n, band, ends):
+    # reference weights, row by row as the dense mask used to build them: a
+    # trapezoid over the band [i-k, i+k] clipped to the grid; without `ends`
+    # a band clipped at a grid end keeps full weight there
+    k = n if band is None else band
+    w = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = max(0, i - k), min(n - 1, i + k)
+        w[i, lo:hi + 1] = 1.0
+        if ends or lo == i - k:
+            w[i, lo] = 0.5
+        if ends or hi == i + k:
+            w[i, hi] = 0.5
+    return w
+
+
+@pytest.mark.parametrize("ends", [False, True])
+@pytest.mark.parametrize("band", [None, 1, 7, 25])
+@pytest.mark.parametrize("contrast", [True, False])
+def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, band, contrast):
+    # several row blocks: 6 rows per block on a 40-node grid
+    n = 40
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 6 * n)
+    rng = np.random.default_rng(7)
+    kern = rng.standard_normal((n, n))
+    rho = rng.standard_normal(n) if contrast else None
+    diag = rng.standard_normal(n)
+
+    def rows(i0, i1):
+        block = kern[i0:i1].copy()
+        block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
+        return block
+
+    got = _pair_sum(rows, n, rho, ends=ends, band=band, diag=diag)
+    w = _band_weights(n, band, ends)
+    k0 = kern.copy()
+    np.fill_diagonal(k0, 0.0)
+    pair = (rho[:, None] - rho[None, :]) * k0 if contrast else k0
+    want = (w * pair).sum(axis=1) + np.diag(w) * diag
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_pair_sum_blocking_leaves_periodic_term_unchanged(monkeypatch):
+    g = make_grid(-8.0 * np.pi, 16.0 * np.pi, 256, periodic=True)
+    phi, phix = front_profile(g.x, "gaussian", amplitude=0.1, width=0.5, center=0.3)
+    st = make_state(g, phi)
+    whole = nonlinear_term(st, phix)
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 7 * g.n)
+    blocked = nonlinear_term(st, phix)
+    assert np.max(np.abs(whole - blocked)) < 1e-16
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_offset_geometry_matches_pairwise_differences(periodic):
+    g = make_grid(-8.0 * np.pi, 16.0 * np.pi, 512, periodic=periodic)
+    s = g.x[:, None] - g.x[None, :]
+    if periodic:
+        s -= g.length * np.round(s / g.length)  # minimum image
+    np.fill_diagonal(s, 1.0)  # the placeholder of the singular diagonal
+    view = _by_offset(_separation(g), g.n)
+    assert np.max(np.abs(view - np.abs(s))) < 1e-13
