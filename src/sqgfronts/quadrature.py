@@ -248,6 +248,33 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, band: int | 
     return out
 
 
+def _even_row_sum(kernel: np.ndarray, band: int | None = None, diag=None) -> np.ndarray:
+    """O(n) form of `_pair_sum(..., ends=True, band=band, diag=diag)` with rho None,
+    for an even Toeplitz kernel K_ij = kernel[|i - j|].
+
+    kernel holds the n values by node offset 0..n-1; kernel[0] is not read.
+    Row i runs over j in [max(0, i - band), min(n - 1, i + band)], and its
+    first and last nodes take weight 1/2 whether a grid end or a band edge
+    puts them there, as min(t, e) does. The sums come from one-sided prefix
+    sums over the offsets, so no two large partial sums cancel.
+    """
+    n = kernel.size
+    off = np.array(kernel, dtype=np.float64)
+    off[0] = 0.0
+    prefix = np.cumsum(off)  # prefix[m] = sum of kernel[1..m]
+    half = 0.5 * off
+    i = np.arange(n)
+    k = n if band is None else band
+    left = np.minimum(i, k)
+    right = np.minimum(n - 1 - i, k)
+    out = prefix[left] + prefix[right] - (half[left] + half[right])
+    if diag is not None:
+        w = np.ones(n)
+        w[0] = w[-1] = 0.5
+        out += w * diag
+    return out
+
+
 def _slope_curvatures(phix: np.ndarray, dx: float, periodic: bool):
     """(phi_xx, phi_xxx) from the slope samples, 4th-order stencils."""
     rho1 = stencil_derivative(phix, dx, periodic)
@@ -387,11 +414,11 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray, params: KernelPa
 
     sep = _separation(g)
     inv_s = _by_offset(1.0 / sep, n)
-    ref = _by_offset(-1.0 / np.hypot(sep, 1.0), n)
     band = _band_half_width(dx, params.window)
-    # (rho(x) - rho(x'))/|s| plus rho(x) times the recentered reference row sum
+    # (rho(x) - rho(x'))/|s| plus rho(x) times the recentered reference row sum,
+    # which depends on the grid alone
     bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, rho, ends=True, band=band)
-    own = _pair_sum(lambda i0, i1: ref[i0:i1].copy(), n, ends=True, band=band, diag=diag_ref)
+    own = _even_row_sum(-1.0 / np.hypot(sep[n - 1:], 1.0), band=band, diag=diag_ref)
     out = (bare + rho * own) * dx
 
     jlo, jhi = _band_limits(n, dx, params.window)

@@ -172,3 +172,24 @@ def test_grid_inequality():
     assert a != b
     st = make_state(a, np.zeros(64))
     assert isinstance(st, FrontState)
+
+
+def _stencil_by_pad_and_roll(values, dx, periodic):
+    # the stencil as first written: np.roll for periodic data, np.pad edge
+    # extension for line data
+    if periodic:
+        p1, m1 = np.roll(values, -1), np.roll(values, 1)
+        p2, m2 = np.roll(values, -2), np.roll(values, 2)
+    else:
+        padded = np.pad(values, 2, mode="edge")
+        p1, m1, p2, m2 = padded[3:-1], padded[1:-3], padded[4:], padded[:-4]
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * dx)
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stencil_derivative_bitwise_equals_pad_formula(n, periodic):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    got = stencil_derivative(values, 0.037, periodic)
+    assert np.array_equal(got, _stencil_by_pad_and_roll(values, 0.037, periodic))

@@ -29,7 +29,7 @@ from sqgfronts import (
     scale_identity,
 )
 from sqgfronts import quadrature
-from sqgfronts.quadrature import _by_offset, _pair_sum, _separation
+from sqgfronts.quadrature import _by_offset, _even_row_sum, _pair_sum, _separation
 
 X0 = 0.7
 ORACLE_NONLINEAR = 0.0019610448345700312  # slope-contrast integral against the front kernel
@@ -290,3 +290,18 @@ def test_offset_geometry_matches_pairwise_differences(periodic):
     np.fill_diagonal(s, 1.0)  # the placeholder of the singular diagonal
     view = _by_offset(_separation(g), g.n)
     assert np.max(np.abs(view - np.abs(s))) < 1e-13
+
+
+@pytest.mark.parametrize("window", [None, 0.5, 7.0, 40.0])
+def test_even_row_sum_matches_dense_row_sum(window):
+    # the linear term's reference row sums, O(n) prefix form against the
+    # dense helper; finite windows clip the band at one or both grid ends
+    g = make_grid(-30.0, 60.0, 1024)
+    n, dx = g.n, g.dx
+    sep = _separation(g)
+    ref = -1.0 / np.hypot(sep, 1.0)
+    band = quadrature._band_half_width(dx, window)
+    view = _by_offset(ref, n)
+    want = _pair_sum(lambda i0, i1: view[i0:i1].copy(), n, ends=True, band=band, diag=-1.0)
+    got = _even_row_sum(ref[n - 1:], band=band, diag=-1.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

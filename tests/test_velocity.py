@@ -14,6 +14,8 @@ from sqgfronts import (
     BoxSpec,
     KernelParams,
     box_riesz_crosscheck,
+    far_field_value,
+    finite_difference_derivative,
     front_profile,
     galilean_shift,
     make_grid,
@@ -22,6 +24,8 @@ from sqgfronts import (
     normal_velocity_bmo,
     velocity_at,
 )
+from sqgfronts.quadrature import _log_w_plus_root
+from sqgfronts.velocity import _riesz_at_probes
 
 ORACLE_UBAR = -0.6131062346376577
 ORACLE_U_05_3 = 2.0228493696395711  # u at (0.5, 3.0)
@@ -190,3 +194,61 @@ def test_box_too_small_rejected():
     st = _state(n=1024)
     with pytest.raises(ValueError):
         box_riesz_crosscheck(st, BoxSpec(size=4.0, n=64), KernelParams(h=1.0))
+
+
+def _velocity_at_scalar_tails(st, x, y, sh):
+    # velocity_at as first written: one scalar log tail per window end and
+    # per kernel, explicit trapezoid weights
+    xs, dx, phi = st.grid.x, st.grid.dx, st.phi
+    c_inf = far_field_value(st)
+    a, b = y - c_inf, sh.h + c_inf
+    rho = finite_difference_derivative(st)
+    w = np.ones(st.grid.n)
+    w[0] = w[-1] = 0.5
+    kernel = 1.0 / np.hypot(x - xs, y - phi) - 1.0 / np.hypot(xs, sh.h + phi)
+    w_r, w_l = xs[-1] - x, x - xs[0]
+    tails = (_log_w_plus_root(np.array(xs[-1]), b) - _log_w_plus_root(np.array(w_r), abs(a))
+             + _log_w_plus_root(np.array(-xs[0]), b) - _log_w_plus_root(np.array(w_l), abs(a)))
+    fp_b = -w_r / np.hypot(w_r, a) ** 3 + xs[-1] / np.hypot(xs[-1], b) ** 3
+    fp_a = w_l / np.hypot(w_l, a) ** 3 + xs[0] / np.hypot(xs[0], b) ** 3
+    corr = -dx * dx / 12.0 * (fp_b - fp_a)
+    u = -(float(np.sum(w * kernel)) * dx + float(tails) + corr) - sh.ubar
+    v = -float(np.sum(w * kernel * rho)) * dx - sh.vbar
+    return u, v
+
+
+def test_velocity_at_tails_outside_window_match_scalar_form():
+    # probes beyond both window ends take the w < 0 branch of the log tail
+    st = _state(amplitude=0.5, width=2.0, center=1.0)
+    sh = galilean_shift(st, KernelParams(h=1.0))
+    for x in (-75.0, -31.5, -12.0, 0.4, 30.0, 33.0, 80.0):
+        for y in (-6.0, -1.5, 2.5, 9.0):
+            s = velocity_at(st, x, y, sh)
+            u, v = _velocity_at_scalar_tails(st, x, y, sh)
+            assert abs(s.u - u) <= 1e-13
+            assert abs(s.v - v) <= 1e-13
+
+
+def test_riesz_at_probes_matches_full_inverse_transform():
+    n, d = 256, 0.3
+    rng = np.random.default_rng(11)
+    theta = rng.standard_normal((n, n))
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
+    ky, kx = k[:, None], k[None, :]
+    kmag = np.hypot(kx, ky)
+    kmag[0, 0] = 1.0
+    theta_hat = np.fft.fft2(theta) / kmag
+    theta_hat[0, 0] = 0.0
+    theta_hat[n // 2, :] = 0.0
+    theta_hat[:, n // 2] = 0.0
+    u_full = np.fft.ifft2(-1.0j * ky * theta_hat).real
+    v_full = np.fft.ifft2(1.0j * kx * theta_hat).real
+    nodes = np.arange(n)
+    u, v = _riesz_at_probes(theta, d, nodes, nodes)
+    assert np.max(np.abs(u - u_full)) <= 1e-12
+    assert np.max(np.abs(v - v_full)) <= 1e-12
+    # a probe subset, in any order and with repeats, reads the same nodes
+    rows, cols = [200, 3, 3, 128], [255, 0, 77]
+    u_sub, v_sub = _riesz_at_probes(theta, d, rows, cols)
+    assert np.max(np.abs(u_sub - u_full[np.ix_(rows, cols)])) <= 1e-12
+    assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
