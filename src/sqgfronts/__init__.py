@@ -30,10 +30,8 @@ from .grid import (
     SpectralWorkspace,
     apply_linear_multiplier,
     build_workspace,
-    dft,
     far_field_value,
     finite_difference_derivative,
-    idft,
     make_grid,
     make_state,
     spectral_derivative,

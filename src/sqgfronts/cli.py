@@ -33,7 +33,6 @@ from .grid import (
     TWO_GAMMA_MINUS_LOG4,
     LineGrid,
     build_workspace,
-    dft,
     finite_difference_derivative,
     make_grid,
     make_state,
@@ -115,19 +114,20 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
 
     kspec = _get(raw, "kernel", "<root>", required=False, default={})
     _expect(isinstance(kspec, dict), "kernel", "must be an object")
-    extra = set(kspec) - {"h", "window", "diagonal_mode"}
+    extra = set(kspec) - {"h"}
     _expect(not extra, "kernel", f"unknown fields: {sorted(extra)}")
     try:
-        kernel = KernelParams(h=kspec.get("h"), window=kspec.get("window"),
-                              diagonal_mode=kspec.get("diagonal_mode", "analytic_limit"))
+        kernel = KernelParams(h=kspec.get("h"))
     except ValueError as e:
         raise UsageError(f"kernel: {e}") from None
 
     dt = _get(raw, "dt", "<root>", required=False) if dt_override is None else dt_override
     t_end = _get(raw, "t_end", "<root>")
     _expect(isinstance(t_end, (int, float)) and t_end > 0, "t_end", "must be a positive number")
-    stride = int(_get(raw, "output_stride", "<root>", required=False, default=1))
-    galilean = bool(_get(raw, "galilean_form", "<root>", required=False, default=False))
+    stride = _get(raw, "output_stride", "<root>", required=False, default=1)
+    _expect(isinstance(stride, int) and not isinstance(stride, bool), "output_stride", "must be an integer")
+    galilean = _get(raw, "galilean_form", "<root>", required=False, default=False)
+    _expect(isinstance(galilean, bool), "galilean_form", "must be true or false")
 
     try:
         cfg = SimConfig(grid=grid, t_end=float(t_end), initial_family=family, initial_params=dict(params),
@@ -421,8 +421,8 @@ def measure_dispersion(n: int, xi_list, amplitude: float, t_end: float, dt: floa
     phi0 = sum(amplitude * np.cos(xi * grid.x) for xi in predicted)
     cfg = SimConfig(grid=grid, t_end=t_end, backend="periodic_spectral", dt=dt)
     traj = integrate(cfg, make_state(grid, np.asarray(phi0)))
-    c0 = dft(np.asarray(phi0))
-    c1 = dft(traj.final.phi)
+    c0 = np.fft.fft(phi0)
+    c1 = np.fft.fft(traj.final.phi)
     for xi, omega in predicted.items():
         phase = float(np.angle(c1[xi] * np.conj(c0[xi])))
         measured = -phase / float(traj.final.t)

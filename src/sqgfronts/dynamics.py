@@ -47,7 +47,6 @@ from .quadrature import (
     _diagonal_jump_correction,
     _pair_sum,
     _separation,
-    _slope_curvatures,
     background_term,
     kernel_difference,
     linear_term_quadrature,
@@ -85,6 +84,7 @@ class SimConfig:
     t_end : horizon; the last step is shortened to land on it exactly
     output_stride : snapshot every this many steps (ends always included)
     galilean_form : assemble the tendency in the advective grouping
+        (periodic_spectral only)
     cfl_safety : fraction of the linear stability step taken when dt is None
     audit_background : record max |background integral| per snapshot
         (line backend only; it is an identically-zero consistency integral)
@@ -109,6 +109,9 @@ class SimConfig:
             raise ValueError("periodic_spectral backend needs a periodic grid")
         if self.backend == "line_quadrature" and self.grid.periodic:
             raise ValueError("line_quadrature backend needs a non-periodic grid")
+        if self.galilean_form and self.backend != "periodic_spectral":
+            raise ValueError("galilean_form=True needs backend='periodic_spectral' "
+                             f"(the multiplier form of the linear term), got backend={self.backend!r}")
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.dt is not None:
@@ -197,9 +200,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace |
     opposing = _pair_sum(opposing_kernel, g.n, phix) * g.dx
 
     # same diagonal-kink treatment as the forward grouping, sign folded
-    if cfg.kernel.diagonal_mode == "analytic_limit":
-        rho1, rho2 = _slope_curvatures(phix, g.dx, periodic=True)
-        opposing -= _diagonal_jump_correction("contrast", phix, rho1, rho2, g.dx)
+    opposing -= _diagonal_jump_correction("contrast", phix, g.dx, periodic=True)
 
     return (apply_linear_multiplier(state, ws)
             + TWO_GAMMA_MINUS_LOG4 * phix

@@ -24,8 +24,6 @@ __all__ = [
     "make_grid",
     "make_state",
     "build_workspace",
-    "dft",
-    "idft",
     "apply_linear_multiplier",
     "spectral_derivative",
     "finite_difference_derivative",
@@ -192,16 +190,6 @@ def build_workspace(grid: LineGrid) -> SpectralWorkspace:
     return SpectralWorkspace(xi=xi, symbol=symbol)
 
 
-def dft(values: np.ndarray) -> np.ndarray:
-    """Forward transform under the package convention (see module docstring)."""
-    return np.fft.fft(values)
-
-
-def idft(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform; returns the complex array, callers take .real."""
-    return np.fft.ifft(coeffs)
-
-
 def apply_linear_multiplier(state: FrontState, workspace: SpectralWorkspace) -> np.ndarray:
     """Dispersive linear operator applied to the front, multiplier form.
 
@@ -210,7 +198,7 @@ def apply_linear_multiplier(state: FrontState, workspace: SpectralWorkspace) -> 
     """
     if workspace.xi.shape != state.phi.shape:
         raise ValueError("workspace was built for a different grid size")
-    return idft(workspace.symbol * dft(state.phi)).real
+    return np.fft.ifft(workspace.symbol * np.fft.fft(state.phi)).real
 
 
 def spectral_derivative(state: FrontState, workspace: SpectralWorkspace | None = None) -> np.ndarray:
@@ -226,7 +214,7 @@ def spectral_derivative(state: FrontState, workspace: SpectralWorkspace | None =
         xi = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
     mult = 1.0j * xi
     mult[g.n // 2] = 0.0
-    return idft(mult * dft(state.phi)).real
+    return np.fft.ifft(mult * np.fft.fft(state.phi)).real
 
 
 def stencil_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:

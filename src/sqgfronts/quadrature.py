@@ -11,13 +11,13 @@ vanishes identically and is kept as a verification target:
 
 with s = x - x', dphi = phi(x) - phi(x'), rho = phi_x. The two pieces of
 each integrand diverge separately and cancel in combination, so they are
-always evaluated together inside one window.
+always evaluated together over the whole grid window.
 
 Line-mode scheme, shared by every op here and in `velocity`:
 
-  composite trapezoid over the in-window nodes
-  + closed-form antiderivative tails beyond the window, using that the front
-    is flat (phi = far-field constant, rho = 0) out there
+  composite trapezoid over all grid nodes
+  + closed-form antiderivative tails beyond the grid window, using that the
+    front is flat (phi = far-field constant, rho = 0) out there
   + the first Euler-Maclaurin endpoint correction dx^2/12 * [f'(A) - f'(B)],
     with f' evaluated on the known flat-front form at the window ends.
 
@@ -27,12 +27,10 @@ endpoint error of the slowly decaying kernels dominates everything else.
 Diagonal rule: the nonlinear integrand has an odd jump at x' = x with
 one-sided limits +(-) phi_xx (sqrt(1+phi_x^2)-1)/sqrt(1+phi_x^2) from the
 right (left); the linear integrand jumps by -(+) phi_xx around the smooth
-value -phi_x. The `analytic_limit` mode assigns the two-sided average (0 and
+value -phi_x. The singular node takes the two-sided average (0 and
 -phi_x respectively), which cancels the value jump exactly, and adds the
 dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump
 (see _diagonal_jump_correction); together the scheme is O(dx^4).
-`skip_point` zeroes the node, takes no jump term, and is kept as a coarser
-cross-check.
 """
 
 from __future__ import annotations
@@ -59,12 +57,9 @@ __all__ = [
     "resolve_depth",
 ]
 
-_DIAGONAL_MODES = ("analytic_limit", "skip_point")
-
-
 @dataclass(frozen=True)
 class KernelParams:
-    """Quadrature controls.
+    """Quadrature controls: the reference depth.
 
     Parameters
     ----------
@@ -72,26 +67,13 @@ class KernelParams:
         Depth of the reference point below the undisturbed front. None means
         the adaptive default 1 + 2*max(0, -min phi), which keeps the
         reference strictly below the front.
-    window : float or None
-        Truncation radius for the physical-space window |x - x'| <= window.
-        None (default, recommended) uses the whole grid; tails beyond the
-        chosen window are added in closed form assuming a flat front there.
-    diagonal_mode : str
-        'analytic_limit' (two-sided average at the singular node) or
-        'skip_point' (omit the node; lower-order cross-check).
     """
 
     h: float | None = None
-    window: float | None = None
-    diagonal_mode: str = "analytic_limit"
 
     def __post_init__(self):
         if self.h is not None and (not np.isfinite(self.h) or self.h <= 0.0):
             raise ValueError(f"h must be positive, got {self.h}")
-        if self.window is not None and (not np.isfinite(self.window) or self.window <= 0.0):
-            raise ValueError(f"window must be positive, got {self.window}")
-        if self.diagonal_mode not in _DIAGONAL_MODES:
-            raise ValueError(f"diagonal_mode must be one of {_DIAGONAL_MODES}, got {self.diagonal_mode!r}")
 
 
 def resolve_depth(state: FrontState, params: KernelParams) -> float:
@@ -128,20 +110,6 @@ def diagonal_limit_one_sided(phi_x: float, phi_xx: float) -> float:
 
 # ---------------------------------------------------------------------------
 # shared line-mode machinery
-
-def _band_limits(n: int, dx: float, window: float | None):
-    """Per-row index band [jlo, jhi] for |x_i - x_j| <= window."""
-    i = np.arange(n)
-    if window is None:
-        return np.zeros(n, dtype=np.intp), np.full(n, n - 1, dtype=np.intp)
-    k = _band_half_width(dx, window)
-    return np.maximum(0, i - k), np.minimum(n - 1, i + k)
-
-
-def _band_half_width(dx: float, window: float | None) -> int | None:
-    """Band half-width in nodes for the window; None means the whole grid."""
-    return None if window is None else max(1, int(round(window / dx)))
-
 
 def _log_w_plus_root(w, c):
     """log(w + sqrt(w^2 + c^2)), stable for w of either sign; needs c > 0."""
@@ -201,32 +169,25 @@ def _separation(grid) -> np.ndarray:
     return sep
 
 
-def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, band: int | None = None,
-              diag=None) -> np.ndarray:
+def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None) -> np.ndarray:
     """Weighted kernel-contrast sums over node pairs, one BLAS product per row block.
 
     Returns, for every row i,
 
-        sum_{j != i} w_ij (rho_i - rho_j) K_ij + w_ii diag_i
+        sum_{j != i} w_j (rho_i - rho_j) K_ij + w_i diag_i
 
     evaluated as rho_i (K w)_i - (K (w rho))_i, so no rho-difference matrix is
     formed. With rho None it returns the plain row sums
-    sum_{j != i} w_ij K_ij + w_ii diag_i.
+    sum_{j != i} w_j K_ij + w_i diag_i.
 
     kernel_rows(i0, i1) returns rows i0:i1 of K as a fresh float array; the
-    helper overwrites it and never reads its diagonal. The weights are
-    w_ij = min(t(i - j), e_j): e_j is 1/2 at j = 0 and n-1 when `ends` (the
-    trapezoid end weights) and 1 otherwise; t is 1 for |i - j| < band, 1/2 at
-    |i - j| = band and 0 beyond (1 everywhere when band is None).
+    helper overwrites it and never reads its diagonal. The weight w_j is 1/2
+    at j = 0 and n-1 when `ends` (the trapezoid end weights) and 1 otherwise.
     """
     w = np.ones(n)
     if ends:
         w[0] = w[-1] = 0.5
     rhs = w if rho is None else np.column_stack((w, w * rho))
-    taper = None
-    if band is not None:
-        offset = np.abs(np.arange(1 - n, n))
-        taper = _by_offset(np.where(offset < band, 1.0, np.where(offset == band, 0.5, 0.0)), n)
     out = np.empty(n)
     size = max(1, _BLOCK_ELEMENTS // n)
     for i0 in range(0, n, size):
@@ -234,13 +195,6 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, band: int | 
         kern = kernel_rows(i0, i1)
         rows = np.arange(i1 - i0)
         kern[rows, rows + i0] = 0.0
-        if taper is not None:
-            if ends:
-                # a band edge on a grid end takes the end's half weight once
-                kern[:, 1:-1] *= taper[i0:i1, 1:-1]
-                kern[:, ::n - 1] *= taper[i0:i1, ::n - 1] > 0.0
-            else:
-                kern *= taper[i0:i1]
         sums = kern @ rhs
         out[i0:i1] = sums if rho is None else rho[i0:i1] * sums[:, 0] - sums[:, 1]
     if diag is not None:
@@ -248,25 +202,22 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, band: int | 
     return out
 
 
-def _even_row_sum(kernel: np.ndarray, band: int | None = None, diag=None) -> np.ndarray:
-    """O(n) form of `_pair_sum(..., ends=True, band=band, diag=diag)` with rho None,
+def _even_row_sum(kernel: np.ndarray, diag=None) -> np.ndarray:
+    """O(n) form of `_pair_sum(..., ends=True, diag=diag)` with rho None,
     for an even Toeplitz kernel K_ij = kernel[|i - j|].
 
     kernel holds the n values by node offset 0..n-1; kernel[0] is not read.
-    Row i runs over j in [max(0, i - band), min(n - 1, i + band)], and its
-    first and last nodes take weight 1/2 whether a grid end or a band edge
-    puts them there, as min(t, e) does. The sums come from one-sided prefix
-    sums over the offsets, so no two large partial sums cancel.
+    Row i runs over the i nodes to its left and the n - 1 - i to its right,
+    the grid ends at weight 1/2. The sums come from one-sided prefix sums
+    over the offsets, so no two large partial sums cancel.
     """
     n = kernel.size
     off = np.array(kernel, dtype=np.float64)
     off[0] = 0.0
     prefix = np.cumsum(off)  # prefix[m] = sum of kernel[1..m]
     half = 0.5 * off
-    i = np.arange(n)
-    k = n if band is None else band
-    left = np.minimum(i, k)
-    right = np.minimum(n - 1 - i, k)
+    left = np.arange(n)
+    right = n - 1 - left
     out = prefix[left] + prefix[right] - (half[left] + half[right])
     if diag is not None:
         w = np.ones(n)
@@ -275,14 +226,7 @@ def _even_row_sum(kernel: np.ndarray, band: int | None = None, diag=None) -> np.
     return out
 
 
-def _slope_curvatures(phix: np.ndarray, dx: float, periodic: bool):
-    """(phi_xx, phi_xxx) from the slope samples, 4th-order stencils."""
-    rho1 = stencil_derivative(phix, dx, periodic)
-    rho2 = stencil_derivative(rho1, dx, periodic)
-    return rho1, rho2
-
-
-def _diagonal_jump_correction(kind: str, phix, rho1, rho2, dx: float) -> np.ndarray:
+def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
     """Euler-Maclaurin term for the integrand's kink at x' = x.
 
     Trapezoid sums with the two-sided average at the singular node cancel the
@@ -295,9 +239,12 @@ def _diagonal_jump_correction(kind: str, phix, rho1, rho2, dx: float) -> np.ndar
         front kernel 1/sqrt(s^2+dphi^2) * drho (velocity routes):
             -phi_xxx r^-1 + phi_x phi_xx^2 r^-3
 
-    with r = sqrt(1 + phi_x^2). The returned array is the + dx^2/12 * jump
-    term to add to the assembled quadrature.
+    with r = sqrt(1 + phi_x^2); phi_xx and phi_xxx come from the slope
+    samples by the 4th-order stencil. The returned array is the
+    + dx^2/12 * jump term to add to the assembled quadrature.
     """
+    rho1 = stencil_derivative(phix, dx, periodic)
+    rho2 = stencil_derivative(rho1, dx, periodic)
     r2 = 1.0 + phix * phix
     r = np.sqrt(r2)
     curv = phix * rho1 * rho1 / (r2 * r)
@@ -310,11 +257,6 @@ def _diagonal_jump_correction(kind: str, phix, rho1, rho2, dx: float) -> np.ndar
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     return dx * dx / 12.0 * jump
-
-
-def _check_periodic_window(state: FrontState, params: KernelParams):
-    if params.window is not None:
-        raise ValueError("periodic mode always truncates at half a period; leave window=None")
 
 
 def _front_kernel(phi: np.ndarray, s2: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -348,20 +290,15 @@ def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | N
     error at fixed dx. Measured on a gaussian (amplitude 0.1, width 0.5) at
     dx = pi/32 against an L = 256 pi reference, it falls by a factor 4.0 to
     4.2 per doubling of L, from 1.3e-5 at L = 4 pi to 7.8e-7 at L = 16 pi.
+
+    The integral does not depend on the reference depth; params is taken for
+    the common signature of the kernel ops.
     """
-    params = params or KernelParams()
     g = state.grid
     x, phi = g.x, state.phi
     rho = np.asarray(phix, dtype=np.float64)
     n, dx = g.n, g.dx
-    if g.periodic:
-        _check_periodic_window(state, params)
-
-    if params.diagonal_mode == "analytic_limit":
-        rho1, rho2 = _slope_curvatures(rho, dx, g.periodic)
-        diag_coda = _diagonal_jump_correction("contrast", rho, rho1, rho2, dx)
-    else:
-        diag_coda = 0.0  # skip_point stays the coarse cross-check
+    diag_coda = _diagonal_jump_correction("contrast", rho, dx, g.periodic)
 
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
@@ -372,19 +309,18 @@ def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | N
         k -= inv_s[i0:i1]
         return k
 
-    # the diagonal carries the odd-jump average 0, as does skip_point
+    # the diagonal carries the odd-jump average 0
     if g.periodic:
         return _pair_sum(contrast, n, rho) * dx + diag_coda
 
-    out = _pair_sum(contrast, n, rho, ends=True, band=_band_half_width(dx, params.window)) * dx
+    out = _pair_sum(contrast, n, rho, ends=True) * dx
     c_inf = far_field_value(state)
     d1 = phi - c_inf
-    jlo, jhi = _band_limits(n, dx, params.window)
-    b_r = np.maximum(x[jhi] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[jlo], 0.5 * dx)
+    b_r = np.maximum(x[-1] - x, 0.5 * dx)
+    b_l = np.maximum(x - x[0], 0.5 * dx)
     # tail integrand rho(x) * [1/sqrt(s^2+d1^2) - 1/|s|]
     tails = _half_tail(b_r, 0.0, d1) + _half_tail(b_l, 0.0, d1)
-    # d/ds of the flat-front integrand at the band ends
+    # d/ds of the flat-front integrand at the window ends
     fp = (1.0 / b_r**2 - b_r / np.hypot(b_r, d1) ** 3) + (1.0 / b_l**2 - b_l / np.hypot(b_l, d1) ** 3)
     return out + rho * (tails - dx * dx / 12.0 * fp) + diag_coda
 
@@ -397,33 +333,27 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray, params: KernelPa
     s = x' - x and the divergent pieces cancel inside one window. On a pure
     Fourier mode this reproduces the dispersive multiplier plus the constant
     advection 2*(gamma - log 2)*phi_x.
+
+    The integral does not depend on the reference depth; params is taken for
+    the common signature of the kernel ops.
     """
-    params = params or KernelParams()
     g = state.grid
     if g.periodic:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
     x, n, dx = g.x, g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
-    if params.diagonal_mode == "analytic_limit":
-        diag_ref = -1.0  # the node carries the smooth value -phi_x
-        rho1, rho2 = _slope_curvatures(rho, dx, periodic=False)
-        diag_coda = _diagonal_jump_correction("bare", rho, rho1, rho2, dx)
-    else:
-        diag_ref = None
-        diag_coda = 0.0
+    diag_coda = _diagonal_jump_correction("bare", rho, dx, periodic=False)
 
     sep = _separation(g)
     inv_s = _by_offset(1.0 / sep, n)
-    band = _band_half_width(dx, params.window)
     # (rho(x) - rho(x'))/|s| plus rho(x) times the recentered reference row sum,
-    # which depends on the grid alone
-    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, rho, ends=True, band=band)
-    own = _even_row_sum(-1.0 / np.hypot(sep[n - 1:], 1.0), band=band, diag=diag_ref)
+    # which depends on the grid alone; its node carries the smooth value -phi_x
+    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, rho, ends=True)
+    own = _even_row_sum(-1.0 / np.hypot(sep[n - 1:], 1.0), diag=-1.0)
     out = (bare + rho * own) * dx
 
-    jlo, jhi = _band_limits(n, dx, params.window)
-    b_r = np.maximum(x[jhi] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[jlo], 0.5 * dx)
+    b_r = np.maximum(x[-1] - x, 0.5 * dx)
+    b_l = np.maximum(x - x[0], 0.5 * dx)
     tails = _half_tail(b_r, 1.0, 0.0) + _half_tail(b_l, 1.0, 0.0)
     fp = (1.0 / np.hypot(b_r, 1.0) ** 3 * b_r - 1.0 / b_r**2) + (b_l / np.hypot(b_l, 1.0) ** 3 - 1.0 / b_l**2)
     return out + rho * (tails - dx * dx / 12.0 * fp) + diag_coda
@@ -453,12 +383,10 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
         k = _strip_kernel(c1, s2, i0, i1)
         return np.subtract(q, k, out=k)
 
-    out = _pair_sum(strip, n, ends=True, band=_band_half_width(dx, params.window), diag=q - 1.0 / c1) * dx
+    out = _pair_sum(strip, n, ends=True, diag=q - 1.0 / c1) * dx
 
-    # tails of int [1/sqrt(x'^2+1) - 1/sqrt((x'-x)^2+c1^2)] dx' beyond the band
-    jlo, jhi = _band_limits(n, dx, params.window)
-    xa = x[jlo]
-    xb = x[jhi]
+    # tails of int [1/sqrt(x'^2+1) - 1/sqrt((x'-x)^2+c1^2)] dx' beyond the window
+    xa, xb = x[0], x[-1]
     tail_r = _log_w_plus_root(xb - x, c1) - _log_w_plus_root(xb, 1.0)
     tail_l = _log_w_plus_root(xa, 1.0) - _log_w_plus_root(xa - x, c1) + 2.0 * np.log(c1)
     fp_b = -xb / np.hypot(xb, 1.0) ** 3 + (xb - x) / np.hypot(xb - x, c1) ** 3

@@ -42,8 +42,6 @@ from scipy.special import erf
 from .grid import FrontState, far_field_value, finite_difference_derivative
 from .quadrature import (
     KernelParams,
-    _band_half_width,
-    _band_limits,
     _by_offset,
     _diagonal_jump_correction,
     _front_kernel,
@@ -51,7 +49,6 @@ from .quadrature import (
     _log_w_plus_root,
     _pair_sum,
     _separation,
-    _slope_curvatures,
     _strip_kernel,
     resolve_depth,
 )
@@ -177,30 +174,23 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     c_inf = far_field_value(state)
     c1 = phi + h
     d1 = phi - c_inf
-    if params.diagonal_mode == "analytic_limit":
-        diag_strip = -1.0 / c1  # the node carries the smooth value -phi_x / c1
-        rho1, rho2 = _slope_curvatures(rho, dx, periodic=False)
-        diag_coda = _diagonal_jump_correction("front", rho, rho1, rho2, dx)
-    else:
-        diag_strip = None
-        diag_coda = 0.0
+    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
 
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
-    band = _band_half_width(dx, params.window)
 
     def strip(i0, i1):
         k = _strip_kernel(c1, s2, i0, i1)
         return np.negative(k, out=k)
 
-    # front kernel against the slope contrast, minus rho(x) times the strip row sum
-    front = _pair_sum(lambda i0, i1: _front_kernel(phi, s2, i0, i1), n, rho, ends=True, band=band)
-    own = _pair_sum(strip, n, ends=True, band=band, diag=diag_strip)
+    # front kernel against the slope contrast, minus rho(x) times the strip row
+    # sum; the strip's node carries the smooth value -phi_x / c1
+    front = _pair_sum(lambda i0, i1: _front_kernel(phi, s2, i0, i1), n, rho, ends=True)
+    own = _pair_sum(strip, n, ends=True, diag=-1.0 / c1)
     out = (front + rho * own) * dx
 
-    jlo, jhi = _band_limits(n, dx, params.window)
-    b_r = np.maximum(x[jhi] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[jlo], 0.5 * dx)
+    b_r = np.maximum(x[-1] - x, 0.5 * dx)
+    b_l = np.maximum(x - x[0], 0.5 * dx)
     tails = _half_tail(b_r, c1, d1) + _half_tail(b_l, c1, d1)
     gp = (b_r / np.hypot(b_r, c1) ** 3 - b_r / np.hypot(b_r, d1) ** 3) + (
         b_l / np.hypot(b_l, c1) ** 3 - b_l / np.hypot(b_l, d1) ** 3
@@ -213,10 +203,10 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     """Front normal velocity (graph form) via the representative-velocity route.
 
     Returns phi_t = (slope-contrast integral against the anchored reference
-    kernel) + phi_x * ubar - vbar.
+    kernel) + phi_x * ubar - vbar. The depth comes from the shift; params is
+    taken for the common signature of the kernel ops.
     """
     _require_line(state, "normal_velocity_bmo")
-    params = params or KernelParams()
     g = state.grid
     x, phi = g.x, state.phi
     n, dx = g.n, g.dx
@@ -227,11 +217,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     c_inf = far_field_value(state)
     d = h + c_inf
     d1 = phi - c_inf
-    if params.diagonal_mode == "analytic_limit":
-        rho1, rho2 = _slope_curvatures(rho, dx, periodic=False)
-        diag_coda = _diagonal_jump_correction("front", rho, rho1, rho2, dx)
-    else:
-        diag_coda = 0.0
+    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
 
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
     s2 = _by_offset(_separation(g) ** 2, n)
@@ -242,14 +228,13 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
         return k
 
     # the diagonal's odd jump (+- phi_xx / sqrt(1+phi_x^2)) averages to 0
-    out = _pair_sum(anchored, n, rho, ends=True, band=_band_half_width(dx, params.window)) * dx
+    out = _pair_sum(anchored, n, rho, ends=True) * dx
 
-    jlo, jhi = _band_limits(n, dx, params.window)
-    b_r = np.maximum(x[jhi] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[jlo], 0.5 * dx)
-    tail_r = _log_w_plus_root(x[jhi], d) - np.log(b_r + np.hypot(b_r, d1))
-    tail_l = _log_w_plus_root(-x[jlo], d) - np.log(b_l + np.hypot(b_l, d1))
-    xa, xb = x[jlo], x[jhi]
+    xa, xb = x[0], x[-1]
+    b_r = np.maximum(xb - x, 0.5 * dx)
+    b_l = np.maximum(x - xa, 0.5 * dx)
+    tail_r = _log_w_plus_root(xb, d) - np.log(b_r + np.hypot(b_r, d1))
+    tail_l = _log_w_plus_root(-xa, d) - np.log(b_l + np.hypot(b_l, d1))
     # clamped separations; rho vanishes wherever the clamp engages
     gp_b = -b_r / np.hypot(b_r, d1) ** 3 + xb / np.hypot(xb, d) ** 3
     gp_a = b_l / np.hypot(b_l, d1) ** 3 + xa / np.hypot(xa, d) ** 3

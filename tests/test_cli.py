@@ -1,8 +1,10 @@
 """Command line interface: config parsing, artifacts, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,13 @@ def test_load_config_overrides(tmp_path):
         lambda c: c.update(kernel={"h": -2.0}),
         lambda c: c.update(t_end=0.0),
         lambda c: c.update(backend="periodic"),  # line grid + periodic backend
+        lambda c: c.update(kernel={"window": 20.0}),
+        lambda c: c.update(kernel={"diagonal_mode": "skip_point"}),
+        lambda c: c.update(output_stride="two"),
+        lambda c: c.update(output_stride=None),
+        lambda c: c.update(output_stride=2.7),
+        lambda c: c.update(galilean_form="no"),
+        lambda c: c.update(galilean_form=True),  # line backend has no advective grouping
     ],
 )
 def test_load_config_rejects(tmp_path, mutate):
@@ -72,6 +81,15 @@ def test_load_config_rejects(tmp_path, mutate):
     mutate(payload)
     with pytest.raises(UsageError):
         load_config(_write_cfg(tmp_path, payload))
+
+
+def test_readme_schema_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Run config schema\s+```json\n(.*?)```", readme, re.S)
+    assert block, "README.md has no run config schema block"
+    cfg, raw = load_config(_write_cfg(tmp_path, json.loads(block.group(1))))
+    assert set(raw["kernel"]) == {"h"}
+    assert cfg.backend == "periodic_spectral" and cfg.grid.n == raw["grid"]["n"]
 
 
 def test_load_config_bad_file(tmp_path):

@@ -51,6 +51,9 @@ def test_config_validation():
         SimConfig(grid=g, t_end=1.0, backend="periodic_spectral", cfl_safety=0.0)
     with pytest.raises(ValueError):
         SimConfig(grid=g, t_end=0.5, backend="periodic_spectral", dt=0.6)
+    # the advective grouping needs the multiplier form of the linear term
+    with pytest.raises(ValueError, match="galilean_form.*backend"):
+        SimConfig(grid=gl, t_end=1.0, backend="line_quadrature", dt=1e-3, galilean_form=True)
     # family params are only exercised when the state is built
     cfg = SimConfig(grid=g, t_end=1.0, backend="periodic_spectral",
                     initial_family="gaussian", initial_params={"amplitude": 1.0})

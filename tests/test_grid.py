@@ -9,10 +9,8 @@ from sqgfronts import (
     FrontState,
     apply_linear_multiplier,
     build_workspace,
-    dft,
     far_field_value,
     finite_difference_derivative,
-    idft,
     make_grid,
     make_state,
     spectral_derivative,
@@ -82,13 +80,6 @@ def test_far_field_and_support():
     assert support_defect(wide) > 1e-3
     with pytest.raises(ValueError):
         validate_line_support(wide)
-
-
-def test_dft_roundtrip():
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal(128)
-    back = idft(dft(vals))
-    assert np.max(np.abs(back - vals)) < 1e-13
 
 
 def test_spectral_derivative_exact_on_modes():

@@ -10,6 +10,8 @@ reference depth h = 1, evaluated at x0 = 0.7 (a grid node for n = 1200 and
 n = 2400 on the [-30, 30) line).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,9 @@ def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(h=0.0)
     with pytest.raises(ValueError):
-        KernelParams(window=-3.0)
-    with pytest.raises(ValueError):
-        KernelParams(diagonal_mode="midpoint")
-    KernelParams(h=2.5, window=20.0, diagonal_mode="skip_point")
+        KernelParams(h=np.inf)
+    assert [f.name for f in dataclasses.fields(KernelParams)] == ["h"]
+    assert KernelParams(h=2.5).h == 2.5
 
 
 def test_resolve_depth():
@@ -174,23 +175,6 @@ def test_even_front_gives_odd_tendency():
     assert np.max(np.abs(total[j] + total[n - j])) < 1e-12
 
 
-def test_window_parameter_changes_little_for_compact_front():
-    # the window drops the bump's weak influence on distant nodes; for this
-    # front that influence is a few 1e-6 at worst
-    st, phix = _oracle_state(1200)
-    full = nonlinear_term(st, phix, KernelParams(h=1.0))
-    windowed = nonlinear_term(st, phix, KernelParams(h=1.0, window=20.0))
-    assert 1e-8 < np.max(np.abs(full - windowed)) < 1e-5
-
-
-def test_skip_point_mode_consistent():
-    st, phix = _oracle_state(1200)
-    a = nonlinear_term(st, phix, KernelParams(h=1.0))
-    b = nonlinear_term(st, phix, KernelParams(h=1.0, diagonal_mode="skip_point"))
-    # skipping the diagonal drops the kink correction: low-order but consistent
-    assert np.max(np.abs(a - b)) < 1e-3
-
-
 def test_scale_identity():
     for c in (0.1, 0.5, 1.0, np.e, 10.0):
         assert abs(scale_identity(c) - np.log(c)) < 1e-10
@@ -221,37 +205,15 @@ def test_cosine_integral_truncation_sweep():
         cosine_integral_constant(inner=10.0)
 
 
-def test_periodic_state_rejects_window():
-    g = make_grid(0.0, 2 * np.pi, 128, periodic=True)
-    st = make_state(g, 0.05 * np.cos(g.x))
-    phix = -0.05 * np.sin(g.x)
-    with pytest.raises(ValueError):
-        nonlinear_term(st, phix, KernelParams(window=5.0))
-
-
-def _band_weights(n, band, ends):
-    # reference weights, row by row as the dense mask used to build them: a
-    # trapezoid over the band [i-k, i+k] clipped to the grid; without `ends`
-    # a band clipped at a grid end keeps full weight there
-    k = n if band is None else band
-    w = np.zeros((n, n))
-    for i in range(n):
-        lo, hi = max(0, i - k), min(n - 1, i + k)
-        w[i, lo:hi + 1] = 1.0
-        if ends or lo == i - k:
-            w[i, lo] = 0.5
-        if ends or hi == i + k:
-            w[i, hi] = 0.5
-    return w
-
-
 @pytest.mark.parametrize("ends", [False, True])
-@pytest.mark.parametrize("band", [None, 1, 7, 25])
+@pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
 @pytest.mark.parametrize("contrast", [True, False])
-def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, band, contrast):
-    # several row blocks: 6 rows per block on a 40-node grid
+def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast):
+    # rows per block on a 40-node grid: one block (None), one row per block,
+    # and sizes that leave a short last block
     n = 40
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 6 * n)
+    if block_rows is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
     rng = np.random.default_rng(7)
     kern = rng.standard_normal((n, n))
     rho = rng.standard_normal(n) if contrast else None
@@ -262,8 +224,10 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, band, contrast):
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block
 
-    got = _pair_sum(rows, n, rho, ends=ends, band=band, diag=diag)
-    w = _band_weights(n, band, ends)
+    got = _pair_sum(rows, n, rho, ends=ends, diag=diag)
+    w = np.ones((n, n))
+    if ends:
+        w[:, [0, -1]] = 0.5
     k0 = kern.copy()
     np.fill_diagonal(k0, 0.0)
     pair = (rho[:, None] - rho[None, :]) * k0 if contrast else k0
@@ -292,16 +256,14 @@ def test_offset_geometry_matches_pairwise_differences(periodic):
     assert np.max(np.abs(view - np.abs(s))) < 1e-13
 
 
-@pytest.mark.parametrize("window", [None, 0.5, 7.0, 40.0])
-def test_even_row_sum_matches_dense_row_sum(window):
+def test_even_row_sum_matches_dense_row_sum():
     # the linear term's reference row sums, O(n) prefix form against the
-    # dense helper; finite windows clip the band at one or both grid ends
+    # dense helper
     g = make_grid(-30.0, 60.0, 1024)
-    n, dx = g.n, g.dx
+    n = g.n
     sep = _separation(g)
     ref = -1.0 / np.hypot(sep, 1.0)
-    band = quadrature._band_half_width(dx, window)
     view = _by_offset(ref, n)
-    want = _pair_sum(lambda i0, i1: view[i0:i1].copy(), n, ends=True, band=band, diag=-1.0)
-    got = _even_row_sum(ref[n - 1:], band=band, diag=-1.0)
+    want = _pair_sum(lambda i0, i1: view[i0:i1].copy(), n, ends=True, diag=-1.0)
+    got = _even_row_sum(ref[n - 1:], diag=-1.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
