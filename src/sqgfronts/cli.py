@@ -62,6 +62,11 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 _BACKEND_ALIASES = {"line": "line_quadrature", "periodic": "periodic_spectral",
                     "line_quadrature": "line_quadrature", "periodic_spectral": "periodic_spectral"}
 
@@ -84,11 +89,11 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     _expect(isinstance(n_raw, int) and not isinstance(n_raw, bool), "grid.n", "must be an integer")
     n = n_raw if n_override is None else int(n_override)
     length = _get(gspec, "length", "grid")
-    _expect(isinstance(length, (int, float)) and not isinstance(length, bool) and length > 0,
-            "grid.length", "must be a positive number")
+    _expect(_is_number(length) and length > 0, "grid.length", "must be a positive number")
     x_min = _get(gspec, "x_min", "grid", required=False, default=-0.5 * float(length))
-    _expect(isinstance(x_min, (int, float)) and not isinstance(x_min, bool), "grid.x_min", "must be a number")
-    periodic = bool(_get(gspec, "periodic", "grid", required=False, default=False))
+    _expect(_is_number(x_min), "grid.x_min", "must be a number")
+    periodic = _get(gspec, "periodic", "grid", required=False, default=False)
+    _expect(isinstance(periodic, bool), "grid.periodic", "must be true or false")
     _expect(n >= 8 and n % 2 == 0, "grid.n", "must be an even integer >= 8")
     try:
         grid = make_grid(float(x_min), float(length), n, periodic=periodic)
@@ -116,14 +121,17 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     _expect(isinstance(kspec, dict), "kernel", "must be an object")
     extra = set(kspec) - {"h"}
     _expect(not extra, "kernel", f"unknown fields: {sorted(extra)}")
+    h = kspec.get("h")
+    _expect(h is None or _is_number(h), "kernel.h", "must be a positive number or null")
     try:
-        kernel = KernelParams(h=kspec.get("h"))
+        kernel = KernelParams(h=h)
     except ValueError as e:
         raise UsageError(f"kernel: {e}") from None
 
     dt = _get(raw, "dt", "<root>", required=False) if dt_override is None else dt_override
+    _expect(dt is None or _is_number(dt), "dt", "must be a positive number or null")
     t_end = _get(raw, "t_end", "<root>")
-    _expect(isinstance(t_end, (int, float)) and t_end > 0, "t_end", "must be a positive number")
+    _expect(_is_number(t_end) and t_end > 0, "t_end", "must be a positive number")
     stride = _get(raw, "output_stride", "<root>", required=False, default=1)
     _expect(isinstance(stride, int) and not isinstance(stride, bool), "output_stride", "must be an integer")
     galilean = _get(raw, "galilean_form", "<root>", required=False, default=False)

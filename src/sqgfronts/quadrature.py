@@ -31,6 +31,16 @@ value -phi_x. The singular node takes the two-sided average (0 and
 -phi_x respectively), which cancels the value jump exactly, and adds the
 dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump
 (see _diagonal_jump_correction); together the scheme is O(dx^4).
+
+Every dense pair sum goes through `_pair_sum`. The front kernels
+1/sqrt(s^2 + dphi^2) and its contrast with 1/|s| are symmetric in
+(x, x'), so `nonlinear_term` and the front sum of
+`velocity.normal_velocity_background` evaluate them on triangular row
+blocks, each entry once. The strip kernels depend on the target's own
+height and the anchored kernel of `velocity.normal_velocity_bmo` on the
+source's, so they are not symmetric and stay on full rows; the advective
+grouping `dynamics.rhs_galilean_form` stays on full rows as well, so that
+its agreement with `rhs` also checks the triangular accumulation.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import IntegrationWarning, quad
 
 from .grid import FrontState, far_field_value, stencil_derivative
@@ -149,8 +158,15 @@ _BLOCK_ELEMENTS = 65_536
 
 
 def _by_offset(values: np.ndarray, n: int) -> np.ndarray:
-    """Zero-copy (n, n) view with entry (i, j) = values[j - i + n - 1]."""
-    return sliding_window_view(values, n)[::-1]
+    """Zero-copy read-only (n, n) view with entry (i, j) = values[j - i + n - 1].
+
+    values is a contiguous vector of length 2n - 1; rows step back one entry.
+    """
+    step = values.strides[0]
+    view = np.ndarray((n, n), dtype=values.dtype, buffer=values,
+                      offset=(n - 1) * step, strides=(-step, step))
+    view.flags.writeable = False
+    return view
 
 
 def _separation(grid) -> np.ndarray:
@@ -169,8 +185,9 @@ def _separation(grid) -> np.ndarray:
     return sep
 
 
-def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None) -> np.ndarray:
-    """Weighted kernel-contrast sums over node pairs, one BLAS product per row block.
+def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None,
+              symmetric: bool = False) -> np.ndarray:
+    """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
 
     Returns, for every row i,
 
@@ -183,20 +200,35 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None) -
     kernel_rows(i0, i1) returns rows i0:i1 of K as a fresh float array; the
     helper overwrites it and never reads its diagonal. The weight w_j is 1/2
     at j = 0 and n-1 when `ends` (the trapezoid end weights) and 1 otherwise.
+
+    With `symmetric` (K_ij = K_ji) kernel_rows(i0, i1) returns only the
+    columns i0:n of those rows, so each entry above the diagonal blocks is
+    computed once: the block adds its product to rows i0:i1 and its
+    transpose beyond the block, K[i0:i1, i1:]^T (w, w rho)[i0:i1], to rows
+    i1:n. The front-kernel sums (`nonlinear_term`, the front part of
+    `velocity.normal_velocity_background`) use it. Kernels that are not
+    symmetric stay on full rows: the strip kernels, whose height is the
+    target's, and the anchored kernel of `velocity.normal_velocity_bmo`,
+    which subtracts a per-source reference. So does the advective grouping
+    `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
+    full-row side of the standing checks on the triangular accumulation.
     """
     w = np.ones(n)
     if ends:
         w[0] = w[-1] = 0.5
     rhs = w if rho is None else np.column_stack((w, w * rho))
-    out = np.empty(n)
+    acc = np.zeros(rhs.shape)
     size = max(1, _BLOCK_ELEMENTS // n)
     for i0 in range(0, n, size):
         i1 = min(n, i0 + size)
+        j0 = i0 if symmetric else 0
         kern = kernel_rows(i0, i1)
         rows = np.arange(i1 - i0)
-        kern[rows, rows + i0] = 0.0
-        sums = kern @ rhs
-        out[i0:i1] = sums if rho is None else rho[i0:i1] * sums[:, 0] - sums[:, 1]
+        kern[rows, rows + i0 - j0] = 0.0
+        acc[i0:i1] += kern @ rhs[j0:]
+        if symmetric:
+            acc[i1:] += kern[:, i1 - i0:].T @ rhs[i0:i1]
+    out = acc if rho is None else rho * acc[:, 0] - acc[:, 1]
     if diag is not None:
         out += w * diag
     return out
@@ -259,11 +291,12 @@ def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: 
     return dx * dx / 12.0 * jump
 
 
-def _front_kernel(phi: np.ndarray, s2: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Rows i0:i1 of 1/sqrt(s^2 + dphi^2), built in place from the s^2 view."""
-    k = np.subtract.outer(phi[i0:i1], phi)
+def _front_kernel(phi_rows: np.ndarray, phi_cols: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Block of 1/sqrt(s^2 + dphi^2) between target heights phi_rows and
+    source heights phi_cols, built in place from the matching s^2 block."""
+    k = np.subtract.outer(phi_rows, phi_cols)
     np.square(k, out=k)
-    k += s2[i0:i1]
+    k += s2
     np.sqrt(k, out=k)
     return np.reciprocal(k, out=k)
 
@@ -305,15 +338,16 @@ def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | N
     inv_s = _by_offset(1.0 / sep, n)
 
     def contrast(i0, i1):
-        k = _front_kernel(phi, s2, i0, i1)
-        k -= inv_s[i0:i1]
+        k = _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:])
+        k -= inv_s[i0:i1, i0:]
         return k
 
-    # the diagonal carries the odd-jump average 0
+    # the kernel is symmetric in (x, x'); the diagonal carries the odd-jump
+    # average 0
     if g.periodic:
-        return _pair_sum(contrast, n, rho) * dx + diag_coda
+        return _pair_sum(contrast, n, rho, symmetric=True) * dx + diag_coda
 
-    out = _pair_sum(contrast, n, rho, ends=True) * dx
+    out = _pair_sum(contrast, n, rho, ends=True, symmetric=True) * dx
     c_inf = far_field_value(state)
     d1 = phi - c_inf
     b_r = np.maximum(x[-1] - x, 0.5 * dx)

@@ -185,7 +185,8 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
 
     # front kernel against the slope contrast, minus rho(x) times the strip row
     # sum; the strip's node carries the smooth value -phi_x / c1
-    front = _pair_sum(lambda i0, i1: _front_kernel(phi, s2, i0, i1), n, rho, ends=True)
+    front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), n, rho,
+                      ends=True, symmetric=True)
     own = _pair_sum(strip, n, ends=True, diag=-1.0 / c1)
     out = (front + rho * own) * dx
 
@@ -223,7 +224,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     s2 = _by_offset(_separation(g) ** 2, n)
 
     def anchored(i0, i1):
-        k = _front_kernel(phi, s2, i0, i1)
+        k = _front_kernel(phi[i0:i1], phi, s2[i0:i1])
         k -= ref
         return k
 
@@ -306,6 +307,36 @@ def _riesz_at_probes(theta: np.ndarray, d: float, rows, cols):
     return fields[:, :p], fields[:, p:]
 
 
+# erf(t) is exactly +-1.0 in double precision for |t| >= 5.922
+_ERF_SATURATES = 6.0
+
+
+def _strip_temperature(coords: np.ndarray, phi_cols: np.ndarray, h: float, sigma: float) -> np.ndarray:
+    """Smoothed strip field theta = -2pi step(y + h) step(phi - y) on the box.
+
+    step(t) = (1 + erf(t / (sqrt2 sigma))) / 2; rows are y = coords, columns
+    carry the front heights phi_cols. The front step is evaluated only on the
+    rows within _ERF_SATURATES scales of [min phi_cols, max phi_cols]: below
+    that band erf is exactly 1 and the step 1, above it exactly 0, so the
+    field equals the one evaluated at every node bit for bit.
+    """
+    scale = np.sqrt(2.0) * sigma
+    reach = _ERF_SATURATES * scale
+    j0 = int(np.searchsorted(coords, np.min(phi_cols) - reach, side="left"))
+    j1 = int(np.searchsorted(coords, np.max(phi_cols) + reach, side="right"))
+    theta = np.empty((coords.size, phi_cols.size))
+    theta[:j0] = 1.0
+    theta[j1:] = 0.0
+    band = theta[j0:j1]
+    np.subtract(phi_cols[None, :], coords[j0:j1, None], out=band)
+    band /= scale
+    erf(band, out=band)
+    band += 1.0
+    band *= 0.5
+    theta *= -2.0 * np.pi * (0.5 * (1.0 + erf((coords[:, None] + h) / scale)))
+    return theta
+
+
 def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams | None = None) -> dict:
     """Velocity of the strip temperature field by 2D FFT vs line quadrature.
 
@@ -348,16 +379,7 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     phi_cols = spline(coords)
     phi_cols = np.where(np.isnan(phi_cols), c_inf, phi_cols)
 
-    # theta = -2pi step(y + h) step(phi - y), step(t) = (1 + erf(t / (sqrt2 sigma))) / 2,
-    # assembled in place in one n x n buffer
-    scale = np.sqrt(2.0) * sigma
-    yy = coords[:, None]  # rows are y
-    theta = np.subtract(phi_cols[None, :], yy)
-    theta /= scale
-    erf(theta, out=theta)
-    theta += 1.0
-    theta *= 0.5
-    theta *= -2.0 * np.pi * (0.5 * (1.0 + erf((yy + h) / scale)))
+    theta = _strip_temperature(coords, phi_cols, h, sigma)
     u_box, v_box = _riesz_at_probes(theta, d, rows, cols)
 
     shift = galilean_shift(state, params)

@@ -26,6 +26,16 @@ LINE_CFG = {
 }
 
 
+# fields whose JSON type used to be passed on unchecked: a TypeError
+# traceback (exit 1) or a silently misread value
+BAD_TYPES = [
+    ("kernel.h", lambda c: c.update(kernel={"h": "deep"})),
+    ("dt", lambda c: c.update(dt=[0.005])),
+    ("grid.periodic", lambda c: c["grid"].update(periodic="no")),
+    ("t_end", lambda c: c.update(t_end=True)),
+]
+
+
 def _write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -74,13 +84,22 @@ def test_load_config_overrides(tmp_path):
         lambda c: c.update(output_stride=2.7),
         lambda c: c.update(galilean_form="no"),
         lambda c: c.update(galilean_form=True),  # line backend has no advective grouping
-    ],
+    ] + [mutate for _, mutate in BAD_TYPES],
 )
 def test_load_config_rejects(tmp_path, mutate):
     payload = json.loads(json.dumps(LINE_CFG))
     mutate(payload)
     with pytest.raises(UsageError):
         load_config(_write_cfg(tmp_path, payload))
+
+
+@pytest.mark.parametrize("field, mutate", BAD_TYPES, ids=[field for field, _ in BAD_TYPES])
+def test_badly_typed_field_exits_2_and_names_it(tmp_path, capsys, field, mutate):
+    payload = json.loads(json.dumps(LINE_CFG))
+    mutate(payload)
+    code = main(["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert field in capsys.readouterr().err
 
 
 def test_readme_schema_loads(tmp_path):

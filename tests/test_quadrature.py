@@ -205,6 +205,19 @@ def test_cosine_integral_truncation_sweep():
         cosine_integral_constant(inner=10.0)
 
 
+def _direct_pair_sum(kern, rho, ends, diag):
+    # broadcast double sum with the trapezoid end weights; the diagonal is
+    # replaced by diag
+    n = kern.shape[0]
+    w = np.ones((n, n))
+    if ends:
+        w[:, [0, -1]] = 0.5
+    k0 = kern.copy()
+    np.fill_diagonal(k0, 0.0)
+    pair = k0 if rho is None else (rho[:, None] - rho[None, :]) * k0
+    return (w * pair).sum(axis=1) + np.diag(w) * diag
+
+
 @pytest.mark.parametrize("ends", [False, True])
 @pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
 @pytest.mark.parametrize("contrast", [True, False])
@@ -225,14 +238,55 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
         return block
 
     got = _pair_sum(rows, n, rho, ends=ends, diag=diag)
-    w = np.ones((n, n))
-    if ends:
-        w[:, [0, -1]] = 0.5
-    k0 = kern.copy()
-    np.fill_diagonal(k0, 0.0)
-    pair = (rho[:, None] - rho[None, :]) * k0 if contrast else k0
-    want = (w * pair).sum(axis=1) + np.diag(w) * diag
-    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends, diag))) < 1e-13
+
+
+@pytest.mark.parametrize("ends", [False, True])
+@pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
+@pytest.mark.parametrize("contrast", [True, False])
+@pytest.mark.parametrize("n", [40, 41])
+def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast, n):
+    # triangular row blocks: one block (None), one row per block, and sizes
+    # that leave a short last block on an even and an odd grid
+    if block_rows is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
+    rng = np.random.default_rng(11)
+    kern = rng.standard_normal((n, n))
+    kern += kern.T
+    rho = rng.standard_normal(n) if contrast else None
+    diag = rng.standard_normal(n)
+
+    def upper_rows(i0, i1):
+        block = kern[i0:i1].copy()
+        block[:, :i0] = np.nan  # left of the requested columns
+        block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
+        return block[:, i0:]
+
+    got = _pair_sum(upper_rows, n, rho, ends=ends, diag=diag, symmetric=True)
+    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends, diag))) < 1e-13
+
+
+@pytest.mark.parametrize("periodic, n", [(True, 512), (False, 2048)])
+def test_nonlinear_term_triangular_matches_full_rows(monkeypatch, periodic, n):
+    # the symmetric front-kernel sum against the full-row assembly of the
+    # same kernel, built from the one block holding every row
+    if periodic:
+        g = make_grid(-8.0 * np.pi, 16.0 * np.pi, n, periodic=True)
+        phi, phix = front_profile(g.x, "gaussian", amplitude=0.1, width=0.5, center=0.3)
+    else:
+        g = make_grid(-30.0, 60.0, n)
+        phi, phix = front_profile(g.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)
+    st = make_state(g, phi)
+    triangular = nonlinear_term(st, phix)
+    pair_sum = quadrature._pair_sum
+
+    def full_rows(kernel_rows, n, rho=None, *, symmetric=False, **kw):
+        assert symmetric
+        whole = kernel_rows(0, n)
+        return pair_sum(lambda i0, i1: whole[i0:i1].copy(), n, rho, **kw)
+
+    monkeypatch.setattr(quadrature, "_pair_sum", full_rows)
+    assert np.max(np.abs(triangular - nonlinear_term(st, phix))) <= 1e-16
 
 
 def test_pair_sum_blocking_leaves_periodic_term_unchanged(monkeypatch):
@@ -254,6 +308,13 @@ def test_offset_geometry_matches_pairwise_differences(periodic):
     np.fill_diagonal(s, 1.0)  # the placeholder of the singular diagonal
     view = _by_offset(_separation(g), g.n)
     assert np.max(np.abs(view - np.abs(s))) < 1e-13
+
+
+def test_offset_view_is_read_only():
+    view = _by_offset(np.arange(7.0), 4)
+    assert view[0, 0] == 3.0 and view[3, 0] == 0.0 and view[0, 3] == 6.0
+    with pytest.raises(ValueError):
+        view[1, 2] = 0.0
 
 
 def test_even_row_sum_matches_dense_row_sum():

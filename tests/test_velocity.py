@@ -9,6 +9,7 @@ probe abscissa and the edges of the numerically relevant support.
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from sqgfronts import (
     BoxSpec,
@@ -25,7 +26,7 @@ from sqgfronts import (
     velocity_at,
 )
 from sqgfronts.quadrature import _log_w_plus_root
-from sqgfronts.velocity import _riesz_at_probes
+from sqgfronts.velocity import _riesz_at_probes, _strip_temperature
 
 ORACLE_UBAR = -0.6131062346376577
 ORACLE_U_05_3 = 2.0228493696395711  # u at (0.5, 3.0)
@@ -252,3 +253,26 @@ def test_riesz_at_probes_matches_full_inverse_transform():
     u_sub, v_sub = _riesz_at_probes(theta, d, rows, cols)
     assert np.max(np.abs(u_sub - u_full[np.ix_(rows, cols)])) <= 1e-12
     assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("amplitude", [0.5, -0.4])
+def test_strip_temperature_band_matches_every_node(n, amplitude):
+    # the front step is evaluated on a band of rows only; outside it erf
+    # saturates, so the field and the probe velocities match the evaluation
+    # at all n^2 nodes bit for bit
+    box = BoxSpec(size=80.0, n=n)
+    d = box.size / n
+    coords = -0.5 * box.size + d * np.arange(n)
+    phi_cols, _ = front_profile(coords, "gaussian", amplitude=amplitude, width=2.0, center=0.3)
+    h, sigma = 1.0, box.smoothing_cells * d
+    scale = np.sqrt(2.0) * sigma
+    yy = coords[:, None]
+    want = 0.5 * (1.0 + erf((phi_cols[None, :] - yy) / scale))
+    want *= -2.0 * np.pi * (0.5 * (1.0 + erf((yy + h) / scale)))
+    theta = _strip_temperature(coords, phi_cols, h, sigma)
+    assert np.array_equal(theta, want)
+    rows = [int(np.argmin(np.abs(coords - y))) for y in box.probe_y]
+    cols = [int(np.argmin(np.abs(coords - x))) for x in box.probe_x]
+    for got, ref in zip(_riesz_at_probes(theta, d, rows, cols), _riesz_at_probes(want, d, rows, cols)):
+        assert np.array_equal(got, ref)
