@@ -9,10 +9,17 @@ dispersion    measured vs predicted phase velocity of small modes
 velocity-map  sample (u, v) on a probe grid for far-field plots
 symmetry      scaling-Galilean mismatch for chosen k values
 
+Each verification check is measured once, by a `measure_*` function that
+takes its grid size, fronts, depths and probes as arguments. The `verify`
+suites call them at documented defaults; tests/test_acceptance.py calls the
+same functions with its own inputs and keeps its own literal bounds. A check
+record holds name, measured, tolerance, passed and wall_s.
+
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
-config error. Config files are JSON; schema errors are reported with field
-paths. CSV bodies are deterministic for a fixed config; manifests add wall
-time (excluded from the determinism contract).
+config error (including a numeric flag out of range). Config files are JSON;
+schema errors are reported with field paths. CSV bodies are deterministic
+for a fixed config; manifests add wall time (excluded from the determinism
+contract).
 """
 
 from __future__ import annotations
@@ -22,14 +29,16 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, cfl_timestep, integrate, rhs, rhs_galilean_form, scaling_galilean_check
+from .dynamics import SimConfig, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
 from .fronts import FAMILIES, front_profile
 from .grid import (
+    EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
     LineGrid,
     build_workspace,
@@ -45,6 +54,15 @@ from .velocity import galilean_shift, normal_velocity_background, normal_velocit
 
 class UsageError(Exception):
     """Config or invocation problem; maps to exit code 2."""
+
+
+@contextmanager
+def _usage(prefix: str = ""):
+    """Report a ValueError raised while building from user input as a UsageError."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"{prefix}{e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +113,8 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     periodic = _get(gspec, "periodic", "grid", required=False, default=False)
     _expect(isinstance(periodic, bool), "grid.periodic", "must be true or false")
     _expect(n >= 8 and n % 2 == 0, "grid.n", "must be an even integer >= 8")
-    try:
+    with _usage("grid: "):
         grid = make_grid(float(x_min), float(length), n, periodic=periodic)
-    except ValueError as e:
-        raise UsageError(f"grid: {e}") from None
 
     ispec = _get(raw, "initial", "<root>")
     _expect(isinstance(ispec, dict), "initial", "must be an object")
@@ -123,10 +139,8 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     _expect(not extra, "kernel", f"unknown fields: {sorted(extra)}")
     h = kspec.get("h")
     _expect(h is None or _is_number(h), "kernel.h", "must be a positive number or null")
-    try:
+    with _usage("kernel: "):
         kernel = KernelParams(h=h)
-    except ValueError as e:
-        raise UsageError(f"kernel: {e}") from None
 
     dt = _get(raw, "dt", "<root>", required=False) if dt_override is None else dt_override
     _expect(dt is None or _is_number(dt), "dt", "must be a positive number or null")
@@ -137,12 +151,10 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     galilean = _get(raw, "galilean_form", "<root>", required=False, default=False)
     _expect(isinstance(galilean, bool), "galilean_form", "must be true or false")
 
-    try:
+    with _usage():
         cfg = SimConfig(grid=grid, t_end=float(t_end), initial_family=family, initial_params=dict(params),
                         backend=backend, kernel=kernel, dt=None if dt is None else float(dt),
                         output_stride=stride, galilean_form=galilean)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     return cfg, raw
 
 
@@ -162,195 +174,253 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_manifest(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _check(name: str, measured: float, tolerance: float) -> dict:
-    return {"name": name, "measured": float(measured), "tolerance": float(tolerance),
-            "passed": bool(measured <= tolerance)}
+def _record(items, start: float | None = None) -> list:
+    """Check records from (name, measured, tolerance) items. Each books the
+    wall time since the one before (or since `start`, default now): a lazily
+    measured item is timed on its own, a measurement feeding several checks on
+    the first of them."""
+    checks, t = [], time.perf_counter() if start is None else start
+    for name, measured, tolerance in items:
+        now = time.perf_counter()
+        checks.append({"name": name, "measured": float(measured), "tolerance": float(tolerance),
+                       "passed": bool(measured <= tolerance), "wall_s": now - t})
+        t = now
+    return checks
 
 
 def _print_checks(checks: list) -> None:
     width = max(len(c["name"]) for c in checks) + 2
     for c in checks:
         tag = "PASS" if c["passed"] else "FAIL"
-        print(f"  {c['name']:<{width}} measured {c['measured']:.3e}  tol {c['tolerance']:.1e}  {tag}")
+        print(f"  {c['name']:<{width}} measured {c['measured']:.3e}  tol {c['tolerance']:.1e}  {tag}"
+              f"  ({c['wall_s']:.3f} s)")
 
 
 # ---------------------------------------------------------------------------
-# verification suites (documented default resolutions)
+# verification ledger: one measurement per check (see the module docstring)
 
 def _line_grid(n: int) -> LineGrid:
     return make_grid(-30.0, 60.0, n, periodic=False)
 
+
+def _periodic_gaussian(n: int, t_end: float, dt: float | None = None) -> SimConfig:
+    """The symmetry runs: a small gaussian on a 4 pi periodic window."""
+    with _usage(f"dt = {dt}, t_end = {t_end}: "):
+        return SimConfig(grid=make_grid(-2.0 * math.pi, 4.0 * math.pi, n, periodic=True), t_end=t_end,
+                         backend="periodic_spectral", dt=dt, initial_family="gaussian",
+                         initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
+
+
+def measure_background(n: int, fronts, depths) -> float:
+    """Largest |background integral| over the line fronts and reference depths."""
+    grid = _line_grid(n)
+    worst = 0.0
+    for family, params in fronts:
+        phi, phix = front_profile(grid.x, family, **params)
+        state = make_state(grid, phi)
+        for h in depths:
+            worst = max(worst, float(np.max(np.abs(background_term(state, phix, KernelParams(h=h))))))
+    return worst
+
+
+def measure_scale_identity(cs) -> float:
+    """Largest |scale_identity(c) - log c|."""
+    return max(abs(scale_identity(c) - math.log(c)) for c in cs)
+
+
+def measure_cosine_constant() -> float:
+    """|cosine integral constant - (gamma - log 2)|."""
+    return abs(cosine_integral_constant() - (EULER_GAMMA - math.log(2.0)))
+
+
+def measure_log_law(n: int, front, xs, ys, h: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """|u - 2 log|y|| and |v| at the probes (x, y), x in xs, y in ys.
+
+    `front` is a (family, params) pair on the [-30, 30) line, or None for
+    the flat front. Returns two arrays of shape (len(xs), len(ys)).
+    """
+    grid = _line_grid(n)
+    state = make_state(grid, np.zeros(n) if front is None else front_profile(grid.x, front[0], **front[1])[0])
+    shift = galilean_shift(state, KernelParams(h=h))
+    with _usage(f"n = {n}: "):  # a probe closer to the front than one spacing
+        samples = [[velocity_at(state, x, y, shift) for y in ys] for x in xs]
+    return (np.array([[abs(s.u - 2.0 * math.log(abs(y))) for s, y in zip(row, ys)] for row in samples]),
+            np.array([[abs(s.v) for s in row] for row in samples]))
+
+
+def measure_velocity_routes(n: int, fronts, h: float | None) -> tuple[float, float]:
+    """Largest gaps from the representative-velocity normal velocity to the
+    strip-referenced one and to the line tendency."""
+    grid = _line_grid(n)
+    p = KernelParams(h=h)
+    cfg = SimConfig(grid=grid, t_end=1.0, backend="line_quadrature", dt=1e-3, kernel=p)
+    routes = tendency = 0.0
+    for family, params in fronts:
+        state = make_state(grid, front_profile(grid.x, family, **params)[0])
+        bmo = normal_velocity_bmo(state, galilean_shift(state, p), p)
+        routes = max(routes, float(np.max(np.abs(normal_velocity_background(state, p) - bmo))))
+        tendency = max(tendency, float(np.max(np.abs(rhs(state, cfg) - bmo))))
+    return routes, tendency
+
+
+def measure_regrouping(n: int) -> float:
+    """Sup gap between `rhs` and its advective grouping, seeded 8-mode 2 pi front."""
+    grid = make_grid(-math.pi, 2.0 * math.pi, n, periodic=True)
+    coef = np.random.default_rng(7).standard_normal(8) * 0.02
+    state = make_state(grid, sum(c * np.cos((j + 1) * grid.x + j) for j, c in enumerate(coef)))
+    cfg = SimConfig(grid=grid, t_end=1.0, backend="periodic_spectral")
+    return float(np.max(np.abs(rhs(state, cfg) - rhs_galilean_form(state, cfg))))
+
+
+def measure_laplacian(f, points) -> float:
+    """Largest 5-point Laplacian of the half-space function f at the points (y, z)."""
+    worst, step = 0.0, 1e-3
+    for y, z in points:
+        lap = (f(HalfSpacePoint(y + step, z)) + f(HalfSpacePoint(y - step, z))
+               + f(HalfSpacePoint(y, z + step)) + f(HalfSpacePoint(y, z - step))
+               - 4.0 * f(HalfSpacePoint(y, z))) / step**2
+        worst = max(worst, abs(lap))
+    return worst
+
+
+def measure_conjugacy(points) -> float:
+    """Largest |d(stream)/dz - extension| at the points (y, z), central differences."""
+    dz = 1e-4
+    return max(abs((stream_function(HalfSpacePoint(y, z + dz)) - stream_function(HalfSpacePoint(y, z - dz)))
+                   / (2 * dz) - harmonic_extension(HalfSpacePoint(y, z)))
+               for y, z in points)
+
+
+def measure_boundary_trace(ys) -> float:
+    """Largest |stream(y, 1e-8) - boundary stream(y)| just above the boundary."""
+    return max(abs(stream_function(HalfSpacePoint(y, 1e-8)) - boundary_stream(y)) for y in ys)
+
+
+def measure_boundary_velocity(ys) -> float:
+    """Largest |d(boundary stream)/dy - 2 log y|, central differences."""
+    dy = 5e-5
+    return max(abs((boundary_stream(y + dy) - boundary_stream(y - dy)) / (2 * dy) - 2.0 * math.log(y))
+               for y in ys)
+
+
+def measure_scaling_galilean(n: int, k: float, t_end: float, dt: float | None = None) -> float:
+    """Scaling-Galilean mismatch of the symmetry run at k."""
+    cfg = _periodic_gaussian(n, t_end, dt)
+    with _usage(f"k = {k}: "):
+        return scaling_galilean_check(cfg, k)
+
+
+def measure_translation_in_phi(n: int) -> float:
+    """Sup change of the line tendency when the gaussian front is lifted by 0.75."""
+    grid = _line_grid(n)
+    phi = front_profile(grid.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)[0]
+    cfg = SimConfig(grid=grid, t_end=1.0, backend="line_quadrature", dt=1e-3)
+    return float(np.max(np.abs(rhs(make_state(grid, phi + 0.75), cfg) - rhs(make_state(grid, phi), cfg))))
+
+
+def measure_translation_in_x(n: int) -> float:
+    """Sup gap between the rolled tendency and that of the rolled front (5 nodes)."""
+    cfg = _periodic_gaussian(n, 1.0)
+    state = initial_state(cfg)
+    rolled = make_state(cfg.grid, np.roll(state.phi, 5))
+    return float(np.max(np.abs(np.roll(rhs(state, cfg), 5) - rhs(rolled, cfg))))
+
+
+def measure_mean_drift(n: int, t_end: float = 0.5) -> float:
+    """Drift of the front mean per unit time over the symmetry run."""
+    traj = integrate(_periodic_gaussian(n, t_end))
+    return abs(traj.diagnostics[-1]["mean"] - traj.diagnostics[0]["mean"]) / traj.final.t
+
+
+def _decay_ratio(*errors) -> float:
+    """Largest ratio of successive errors over the sequences that rise above
+    roundoff; one at roundoff throughout (the exact zeros of a symmetric
+    probe) has no decay to measure. With none left the ratio is inf."""
+    floor = 1e-14
+    ratios = []
+    for e in errors:
+        if np.max(e) > floor:
+            e = np.maximum(e, floor)
+            ratios.extend(e[1:] / e[:-1])
+    return max(ratios, default=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# verification suites (documented default resolutions)
 
 _TEST_FRONTS = (
     ("gaussian", {"amplitude": 0.5, "width": 2.0, "center": 0.0}),
     ("poly_bump", {"amplitude": -0.4, "width": 6.0, "center": 1.5}),
 )
 
-
-def _suite_identities(n: int, scale: float) -> list:
-    checks = []
-    grid = _line_grid(n)
-    worst = 0.0
-    for family, params in _TEST_FRONTS:
-        phi, phix = front_profile(grid.x, family, **params)
-        state = make_state(grid, phi)
-        for h in (1.0, 2.5):
-            res = background_term(state, phix, KernelParams(h=h))
-            worst = max(worst, float(np.max(np.abs(res))))
-    checks.append(_check("background_integral_zero", worst, 1e-8 * scale))
-
-    worst = max(abs(scale_identity(c) - math.log(c)) for c in (0.1, 0.5, 1.0, math.e, 10.0))
-    checks.append(_check("scale_identity_vs_log", worst, 1e-10 * scale))
-
-    checks.append(_check("cosine_integral_constant",
-                         abs(cosine_integral_constant() - 0.5 * TWO_GAMMA_MINUS_LOG4), 1e-9 * scale))
-
-    flat = make_state(grid, np.zeros(grid.n))
-    shift = galilean_shift(flat, KernelParams(h=1.0))
-    worst = 0.0
-    for y in (-50.0, -10.0, -2.0, 0.5, 2.0, 10.0, 50.0):
-        s = velocity_at(flat, 0.0, y, shift)
-        worst = max(worst, abs(s.u - 2.0 * math.log(abs(y))), abs(s.v))
-    checks.append(_check("hilbert_pair_flat_front", worst, 1e-10 * scale))
-    return checks
+_QG_POINTS = ((0.7, 0.6), (1.0, 1.0), (-1.3, 0.8), (2.0, 3.0), (-2.5, 1.7),
+              (0.3, 2.2), (4.0, 0.9), (-0.8, 4.1), (1.9, 1.4), (-3.2, 2.6))
 
 
-def _suite_equivalence(n: int, scale: float) -> list:
-    checks = []
-    grid = _line_grid(n)
-    worst_deriv = 0.0
-    worst_rhs = 0.0
-    cfg = SimConfig(grid=grid, t_end=1.0, backend="line_quadrature", dt=1e-3)
-    for family, params in _TEST_FRONTS:
-        phi, _ = front_profile(grid.x, family, **params)
-        state = make_state(grid, phi)
-        shift = galilean_shift(state)
-        nv1 = normal_velocity_background(state)
-        nv2 = normal_velocity_bmo(state, shift)
-        worst_deriv = max(worst_deriv, float(np.max(np.abs(nv1 - nv2))))
-        worst_rhs = max(worst_rhs, float(np.max(np.abs(rhs(state, cfg) - nv2))))
-    checks.append(_check("derivation_I_vs_II", worst_deriv, 1e-6 * scale))
-    checks.append(_check("rhs_vs_derivation_II", worst_rhs, 1e-6 * scale))
-
-    pgrid = make_grid(-math.pi, 2.0 * math.pi, min(n, 256), periodic=True)
-    rng = np.random.default_rng(7)
-    coef = rng.standard_normal(8) * 0.02
-    phi = sum(c * np.cos((j + 1) * pgrid.x + j) for j, c in enumerate(coef))
-    pstate = make_state(pgrid, phi)
-    pcfg = SimConfig(grid=pgrid, t_end=1.0, backend="periodic_spectral")
-    diff = float(np.max(np.abs(rhs(pstate, pcfg) - rhs_galilean_form(pstate, pcfg))))
-    checks.append(_check("rhs_regrouping", diff, 1e-8 * scale))
-    return checks
+def _suite_identities(n, dt, scale):
+    yield "background_integral_zero", measure_background(n, _TEST_FRONTS, (1.0, 2.5)), 1e-8 * scale
+    yield "scale_identity_vs_log", measure_scale_identity((0.1, 0.5, 1.0, math.e, 10.0)), 1e-10 * scale
+    yield "cosine_integral_constant", measure_cosine_constant(), 1e-9 * scale
+    u_err, v_err = measure_log_law(n, None, (0.0,), (-50.0, -10.0, -2.0, 0.5, 2.0, 10.0, 50.0))
+    yield "hilbert_pair_flat_front", max(u_err.max(), v_err.max()), 1e-10 * scale
 
 
-def _suite_farfield(n: int, scale: float) -> list:
-    grid = _line_grid(n)
-    phi, _ = front_profile(grid.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)
-    state = make_state(grid, phi)
-    shift = galilean_shift(state)
-    checks = []
-    for x in (0.0, 3.0):
-        u_err, v_err = [], []
-        for y in (1e2, 1e3, 1e4):
-            s = velocity_at(state, x, y, shift)
-            u_err.append(abs(s.u - 2.0 * math.log(y)))
-            v_err.append(abs(s.v))
+def _suite_equivalence(n, dt, scale):
+    routes, tendency = measure_velocity_routes(n, _TEST_FRONTS, None)
+    yield "derivation_I_vs_II", routes, 1e-6 * scale
+    yield "rhs_vs_derivation_II", tendency, 1e-6 * scale
+    yield "rhs_regrouping", measure_regrouping(min(n, 256)), 1e-8 * scale
+
+
+def _suite_farfield(n, dt, scale):
+    xs = (0.0, 3.0)
+    u_err, v_err = measure_log_law(n, _TEST_FRONTS[0], xs, (1e2, 1e3, 1e4))
+    for x, u, v in zip(xs, u_err, v_err):
         tag = str(x).replace(".", "p")
-        checks.append(_check(f"farfield_u_error_at_1e3_x{tag}", u_err[1], 1e-2 * scale))
-        checks.append(_check(f"farfield_v_error_at_1e3_x{tag}", v_err[1], 1e-2 * scale))
-        floor = 1e-14  # symmetric probes hit exact zeros; ratios of roundoff are noise
-        u_err = [max(e, floor) for e in u_err]
-        v_err = [max(e, floor) for e in v_err]
-        ratio = max(u_err[1] / u_err[0], u_err[2] / u_err[1], v_err[1] / v_err[0], v_err[2] / v_err[1])
-        checks.append(_check(f"farfield_monotone_decay_ratio_x{tag}", ratio, 1.0))
-    return checks
+        yield f"farfield_u_error_at_1e3_x{tag}", u[1], 1e-2 * scale
+        yield f"farfield_v_error_at_1e3_x{tag}", v[1], 1e-2 * scale
+        yield f"farfield_monotone_decay_ratio_x{tag}", _decay_ratio(u, v), 1.0
 
 
-def _suite_qg(scale: float) -> list:
-    checks = []
-    pts = [(0.7, 0.6), (1.0, 1.0), (-1.3, 0.8), (2.0, 3.0), (-2.5, 1.7),
-           (0.3, 2.2), (4.0, 0.9), (-0.8, 4.1), (1.9, 1.4), (-3.2, 2.6)]
-    step = 1e-3
-    worst_f = worst_s = 0.0
-    for y, z in pts:
-        lap_f = (harmonic_extension(HalfSpacePoint(y + step, z)) + harmonic_extension(HalfSpacePoint(y - step, z))
-                 + harmonic_extension(HalfSpacePoint(y, z + step)) + harmonic_extension(HalfSpacePoint(y, z - step))
-                 - 4.0 * harmonic_extension(HalfSpacePoint(y, z))) / step**2
-        lap_s = (stream_function(HalfSpacePoint(y + step, z)) + stream_function(HalfSpacePoint(y - step, z))
-                 + stream_function(HalfSpacePoint(y, z + step)) + stream_function(HalfSpacePoint(y, z - step))
-                 - 4.0 * stream_function(HalfSpacePoint(y, z))) / step**2
-        worst_f = max(worst_f, abs(lap_f))
-        worst_s = max(worst_s, abs(lap_s))
-    checks.append(_check("laplacian_harmonic_extension", worst_f, 1e-6 * scale))
-    checks.append(_check("laplacian_stream_function", worst_s, 1e-6 * scale))
-
-    dz = 1e-4
-    worst = 0.0
-    for y, z in ((1.0, 1.0), (-2.0, 0.5), (0.3, 2.0)):
-        dpsi = (stream_function(HalfSpacePoint(y, z + dz)) - stream_function(HalfSpacePoint(y, z - dz))) / (2 * dz)
-        worst = max(worst, abs(dpsi - harmonic_extension(HalfSpacePoint(y, z))))
-    checks.append(_check("dz_stream_vs_extension", worst, 1e-8 * scale))
-
+def _suite_qg(n, dt, scale):
+    ys = (0.5, 1.0, 3.0)
+    yield "laplacian_harmonic_extension", measure_laplacian(harmonic_extension, _QG_POINTS), 1e-6 * scale
+    yield "laplacian_stream_function", measure_laplacian(stream_function, _QG_POINTS), 1e-6 * scale
+    yield "dz_stream_vs_extension", measure_conjugacy(((1.0, 1.0), (-2.0, 0.5), (0.3, 2.0))), 1e-8 * scale
     # trace gap is 2 pi z to first order, so probe well below the tolerance
-    worst = max(abs(stream_function(HalfSpacePoint(y, 1e-8)) - boundary_stream(y)) for y in (0.5, 1.0, 3.0))
-    checks.append(_check("boundary_trace", worst, 1e-6 * scale))
-
-    dy = 5e-5
-    worst = max(abs((boundary_stream(y + dy) - boundary_stream(y - dy)) / (2 * dy) - 2.0 * math.log(y))
-                for y in (0.5, 1.0, 3.0))
-    checks.append(_check("boundary_velocity_2logy", worst, 1e-8 * scale))
-    return checks
+    yield "boundary_trace", measure_boundary_trace(ys), 1e-6 * scale
+    yield "boundary_velocity_2logy", measure_boundary_velocity(ys), 1e-8 * scale
 
 
-def _suite_symmetry(n: int, scale: float, dt: float | None) -> list:
-    checks = []
-    grid = make_grid(-2.0 * math.pi, 4.0 * math.pi, n, periodic=True)
-    cfg = SimConfig(grid=grid, t_end=0.25, backend="periodic_spectral", dt=dt,
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
+def _suite_symmetry(n, dt, scale):
     for k in (2.0, 0.5):
-        checks.append(_check(f"scaling_galilean_k_{k}", scaling_galilean_check(cfg, k), 1e-3 * scale))
-
-    lgrid = _line_grid(min(n, 256))
-    phi, _ = front_profile(lgrid.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)
-    lcfg = SimConfig(grid=lgrid, t_end=1.0, backend="line_quadrature", dt=1e-3)
-    base = rhs(make_state(lgrid, phi), lcfg)
-    lifted = rhs(make_state(lgrid, phi + 0.75), lcfg)
-    checks.append(_check("translation_in_phi", float(np.max(np.abs(lifted - base))), 1e-10 * scale))
-
-    pstate = make_state(grid, front_profile(grid.x, "gaussian", amplitude=0.1, width=0.5, center=0.0)[0])
-    pcfg = SimConfig(grid=grid, t_end=1.0, backend="periodic_spectral")
-    rolled = make_state(grid, np.roll(pstate.phi, 5))
-    diff = float(np.max(np.abs(np.roll(rhs(pstate, pcfg), 5) - rhs(rolled, pcfg))))
-    checks.append(_check("translation_in_x", diff, 1e-10 * scale))
-
-    run_cfg = SimConfig(grid=grid, t_end=0.5, backend="periodic_spectral",
-                        initial_family="gaussian",
-                        initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
-    traj = integrate(run_cfg)
-    drift = abs(traj.diagnostics[-1]["mean"] - traj.diagnostics[0]["mean"]) / traj.final.t
-    checks.append(_check("mean_conservation_per_unit_time", drift, 1e-8 * scale))
-    return checks
+        yield f"scaling_galilean_k_{k}", measure_scaling_galilean(n, k, 0.25, dt), 1e-3 * scale
+    yield "translation_in_phi", measure_translation_in_phi(min(n, 256)), 1e-10 * scale
+    yield "translation_in_x", measure_translation_in_x(n), 1e-10 * scale
+    yield "mean_conservation_per_unit_time", measure_mean_drift(n), 1e-8 * scale
 
 
-SUITES = ("identities", "equivalence", "farfield", "qg", "symmetry")
+# name: (suite, default n); qg has no grid and only symmetry takes a step
+_SUITES = {
+    "identities": (_suite_identities, 512),
+    "equivalence": (_suite_equivalence, 512),
+    "farfield": (_suite_farfield, 512),
+    "qg": (_suite_qg, None),
+    "symmetry": (_suite_symmetry, 256),
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, n: int | None, dt: float | None, scale: float) -> list:
-    if name == "identities":
-        return _suite_identities(n or 512, scale)
-    if name == "equivalence":
-        return _suite_equivalence(n or 512, scale)
-    if name == "farfield":
-        return _suite_farfield(n or 512, scale)
-    if name == "qg":
-        return _suite_qg(scale)
-    if name == "symmetry":
-        return _suite_symmetry(n or 256, scale, dt)
-    raise UsageError(f"unknown suite {name!r}; options: {', '.join(SUITES)}")
+    """Check records of one suite; n and dt override its default resolution and step."""
+    if name not in _SUITES:
+        raise UsageError(f"unknown suite {name!r}; options: {', '.join(SUITES)}")
+    suite, default_n = _SUITES[name]
+    return _record(suite(default_n if n is None else n, dt, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +453,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in SUITES + ("all",):
+        raise UsageError(f"unknown suite {args.suite!r}; options: {', '.join(SUITES)} or 'all'")
     names = SUITES if args.suite == "all" else (args.suite,)
-    for name in names:
-        if name not in SUITES:
-            raise UsageError(f"unknown suite {name!r}; options: {', '.join(SUITES)} or 'all'")
     t0 = time.perf_counter()
     all_checks = []
     for name in names:
@@ -397,9 +466,7 @@ def cmd_verify(args) -> int:
     wall = time.perf_counter() - t0
     passed = all(c["passed"] for c in all_checks)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_manifest(out / "manifest.json", {
+        write_manifest(Path(args.out) / "manifest.json", {
             "command": "verify", "version": __version__,
             "suites": list(names), "tolerance_scale": args.tolerance_scale,
             "n_override": args.n, "dt_override": args.dt,
@@ -427,8 +494,9 @@ def measure_dispersion(n: int, xi_list, amplitude: float, t_end: float, dt: floa
         predicted[xi] = omega
 
     phi0 = sum(amplitude * np.cos(xi * grid.x) for xi in predicted)
-    cfg = SimConfig(grid=grid, t_end=t_end, backend="periodic_spectral", dt=dt)
-    traj = integrate(cfg, make_state(grid, np.asarray(phi0)))
+    with _usage(f"dt = {dt}, t_end = {t_end}: "):
+        traj = integrate(SimConfig(grid=grid, t_end=t_end, backend="periodic_spectral", dt=dt),
+                         make_state(grid, np.asarray(phi0)))
     c0 = np.fft.fft(phi0)
     c1 = np.fft.fft(traj.final.phi)
     for xi, omega in predicted.items():
@@ -440,15 +508,13 @@ def measure_dispersion(n: int, xi_list, amplitude: float, t_end: float, dt: floa
 
 
 def cmd_dispersion(args) -> int:
-    xi_list = [float(tok) for tok in args.xi.split(",") if tok.strip()]
-    if not xi_list:
-        raise UsageError("--xi needs at least one mode number")
+    xi_list = _numbers(args.xi, "--xi")
     if not (0.0 < args.amplitude <= 1e-3):
         raise UsageError("amplitude must be in (0, 1e-3] to stay in the linear regime")
+    n = 512 if args.n is None else args.n
     t0 = time.perf_counter()
-    rows = measure_dispersion(args.n or 512, xi_list, args.amplitude, args.t_end, args.dt)
-    wall = time.perf_counter() - t0
-    worst = max(r[5] for r in rows)
+    rows = measure_dispersion(n, xi_list, args.amplitude, args.t_end, args.dt)
+    checks = _record([("dispersion_rel_error", max(r[5] for r in rows), 1e-4 * args.tolerance_scale)], t0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "dispersion.csv",
@@ -456,38 +522,27 @@ def cmd_dispersion(args) -> int:
               rows)
     write_manifest(out / "manifest.json", {
         "command": "dispersion", "version": __version__,
-        "n": args.n or 512, "amplitude": args.amplitude, "t_end": args.t_end,
-        "wall_time_s": wall,
-        "checks": [_check("dispersion_rel_error", worst, 1e-4 * args.tolerance_scale)],
-        "passed": bool(worst <= 1e-4 * args.tolerance_scale),
+        "n": n, "amplitude": args.amplitude, "t_end": args.t_end,
+        "wall_time_s": checks[0]["wall_s"], "checks": checks, "passed": checks[0]["passed"],
     })
     for r in rows:
         print(f"  xi {r[0]:>3}  predicted {r[1]:+.6f}  measured {r[2]:+.6f}  rel {r[5]:.2e}")
-    return 0 if worst <= 1e-4 * args.tolerance_scale else 1
+    return 0 if checks[0]["passed"] else 1
 
 
 def cmd_velocity_map(args) -> int:
     cfg, _ = load_config(args.config, args.n, None, None)
     if cfg.backend != "line_quadrature":
         raise UsageError("velocity-map needs a line backend config (anchored velocity kernel)")
-    try:
-        xs = [float(t) for t in args.probe_x.split(",") if t.strip()]
-        ys = [float(t) for t in args.probe_y.split(",") if t.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad probe list: {e}") from None
-    if not xs or not ys:
-        raise UsageError("probe lists must be nonempty")
+    xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
 
-    phi, _ = front_profile(cfg.grid.x, cfg.initial_family, **cfg.initial_params)
-    state = make_state(cfg.grid, phi)
+    state = initial_state(cfg)
     shift = galilean_shift(state, cfg.kernel)
     rows = []
     for x in xs:
         for y in ys:
-            try:
+            with _usage():
                 s = velocity_at(state, x, y, shift)
-            except ValueError as e:
-                raise UsageError(str(e)) from None
             rows.append((x, y, s.u, s.v, s.u - 2.0 * math.log(abs(y)) if y != 0.0 else float("nan")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -497,32 +552,42 @@ def cmd_velocity_map(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    ks = [float(t) for t in args.k.split(",") if t.strip()]
-    if not ks:
-        raise UsageError("--k needs at least one value")
-    n = args.n or 256
-    grid = make_grid(-2.0 * math.pi, 4.0 * math.pi, n, periodic=True)
-    cfg = SimConfig(grid=grid, t_end=args.t_end, backend="periodic_spectral", dt=args.dt,
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
-    t0 = time.perf_counter()
-    checks = []
-    for k in ks:
-        if k <= 0:
-            raise UsageError(f"k must be positive, got {k}")
-        checks.append(_check(f"scaling_galilean_k_{k}", scaling_galilean_check(cfg, k),
-                             1e-3 * args.tolerance_scale))
-    wall = time.perf_counter() - t0
+    ks = [_positive(k, "--k") for k in _numbers(args.k, "--k")]
+    n = 256 if args.n is None else args.n
+    checks = _record((f"scaling_galilean_k_{k}", measure_scaling_galilean(n, k, args.t_end, args.dt),
+                      1e-3 * args.tolerance_scale) for k in ks)
     _print_checks(checks)
     passed = all(c["passed"] for c in checks)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_manifest(out / "manifest.json", {
+        write_manifest(Path(args.out) / "manifest.json", {
             "command": "symmetry", "version": __version__, "n": n, "t_end": args.t_end,
-            "wall_time_s": wall, "checks": checks, "passed": passed,
+            "wall_time_s": sum(c["wall_s"] for c in checks), "checks": checks, "passed": passed,
         })
     return 0 if passed else 1
+
+
+def _positive(value, flag: str):
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"{flag} must be a positive finite number, got {value}")
+    return value
+
+
+def _numbers(text: str, flag: str) -> list:
+    """A nonempty comma list of numbers."""
+    with _usage(f"{flag}: "):
+        values = [float(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise UsageError(f"{flag} needs at least one number")
+    return values
+
+
+def _check_flags(args) -> None:
+    """--n even and >= 8; --dt, --t-end, --tolerance-scale finite and > 0."""
+    n = getattr(args, "n", None)
+    if n is not None and (n < 8 or n % 2):
+        raise UsageError(f"--n must be an even integer >= 8, got {n}")
+    for dest in ("dt", "t_end", "tolerance_scale"):
+        _positive(getattr(args, dest, None), "--" + dest.replace("_", "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -78,7 +78,8 @@ class SimConfig:
     grid : LineGrid (periodicity must match the backend)
     initial_family / initial_params : analytic initial front, see `fronts`
     backend : 'line_quadrature' or 'periodic_spectral'
-    kernel : quadrature controls
+    kernel : reference depth of the line-backend background audit (the
+        tendency itself does not depend on it)
     dt : time step; None means the CFL step (periodic only; line grids have
         no spectral stability estimate here, so dt is required)
     t_end : horizon; the last step is shortened to land on it exactly
@@ -170,11 +171,11 @@ def rhs(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None = None) 
     if cfg.backend == "periodic_spectral":
         ws = ws or build_workspace(state.grid)
         phix = spectral_derivative(state, ws)
-        return (nonlinear_term(state, phix, cfg.kernel)
+        return (nonlinear_term(state, phix)
                 + apply_linear_multiplier(state, ws)
                 + TWO_GAMMA_MINUS_LOG4 * phix)
     phix = finite_difference_derivative(state)
-    return nonlinear_term(state, phix, cfg.kernel) + linear_term_quadrature(state, phix, cfg.kernel)
+    return nonlinear_term(state, phix) + linear_term_quadrature(state, phix)
 
 
 def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None = None) -> np.ndarray:

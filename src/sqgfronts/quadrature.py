@@ -311,7 +311,7 @@ def _strip_kernel(c1: np.ndarray, s2: np.ndarray, i0: int, i1: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # the three front-tendency integrals
 
-def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | None = None) -> np.ndarray:
+def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     """Nonlinear self-interaction integral at every grid node.
 
     Cubic in the front amplitude for small fronts. Periodic grids use the
@@ -323,9 +323,7 @@ def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | N
     error at fixed dx. Measured on a gaussian (amplitude 0.1, width 0.5) at
     dx = pi/32 against an L = 256 pi reference, it falls by a factor 4.0 to
     4.2 per doubling of L, from 1.3e-5 at L = 4 pi to 7.8e-7 at L = 16 pi.
-
-    The integral does not depend on the reference depth; params is taken for
-    the common signature of the kernel ops.
+    The integral does not depend on the reference depth.
     """
     g = state.grid
     x, phi = g.x, state.phi
@@ -359,17 +357,15 @@ def nonlinear_term(state: FrontState, phix: np.ndarray, params: KernelParams | N
     return out + rho * (tails - dx * dx / 12.0 * fp) + diag_coda
 
 
-def linear_term_quadrature(state: FrontState, phix: np.ndarray, params: KernelParams | None = None) -> np.ndarray:
+def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     """Linear nonlocal integral by physical-space quadrature (line mode).
 
     The reference kernel is recentered at the target (its integral over the
     line is shift invariant), so the integrand is a pure function of
     s = x' - x and the divergent pieces cancel inside one window. On a pure
     Fourier mode this reproduces the dispersive multiplier plus the constant
-    advection 2*(gamma - log 2)*phi_x.
-
-    The integral does not depend on the reference depth; params is taken for
-    the common signature of the kernel ops.
+    advection 2*(gamma - log 2)*phi_x. The integral does not depend on the
+    reference depth.
     """
     g = state.grid
     if g.periodic:

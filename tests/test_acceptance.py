@@ -3,6 +3,10 @@
 Each test measures one headline property at its stated tolerance and records
 a single PASS/FAIL line (replayed after the pytest summary). Tolerances and
 budgets are fixed; if a check fails, fix the code, not the number.
+
+Where `sqgfronts verify` has the same check, the measurement comes from the
+same `sqgfronts.cli.measure_*` function, called here with this file's inputs;
+the bounds, wall budgets and extra conditions stay here.
 """
 
 import math
@@ -14,31 +18,31 @@ from conftest import record_acceptance
 from sqgfronts import (
     EULER_GAMMA,
     BoxSpec,
-    HalfSpacePoint,
     KernelParams,
     SimConfig,
-    background_term,
-    boundary_stream,
     box_riesz_crosscheck,
     build_workspace,
     apply_linear_multiplier,
-    cosine_integral_constant,
     front_profile,
-    galilean_shift,
     harmonic_extension,
     integrate,
     linear_term_quadrature,
     make_grid,
     make_state,
-    nonlinear_term,
-    normal_velocity_background,
-    normal_velocity_bmo,
-    rhs,
-    scale_identity,
     scaling_galilean_check,
     spectral_derivative,
     stream_function,
-    velocity_at,
+)
+from sqgfronts.cli import (
+    measure_background,
+    measure_boundary_velocity,
+    measure_conjugacy,
+    measure_cosine_constant,
+    measure_laplacian,
+    measure_log_law,
+    measure_mean_drift,
+    measure_scale_identity,
+    measure_velocity_routes,
 )
 
 FRONTS = [
@@ -50,13 +54,6 @@ FRONTS = [
 ]
 
 
-def _line_states(n):
-    g = make_grid(-30.0, 60.0, n)
-    for family, params in FRONTS:
-        phi, phix = front_profile(g.x, family, **params)
-        yield make_state(g, phi), phix
-
-
 def _report(num, name, ok, detail):
     line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     record_acceptance(line)
@@ -65,10 +62,7 @@ def _report(num, name, ok, detail):
 
 def test_criterion_01_background_integral_vanishes():
     t0 = time.perf_counter()
-    worst = 0.0
-    for state, phix in _line_states(1024):
-        for h in (1.0, 2.0, 5.0):
-            worst = max(worst, float(np.max(np.abs(background_term(state, phix, KernelParams(h=h))))))
+    worst = measure_background(1024, FRONTS, (1.0, 2.0, 5.0))
     wall = time.perf_counter() - t0
     ok = worst <= 1e-8 and wall <= 10.0
     _report(1, "background integral vanishes", ok,
@@ -77,7 +71,7 @@ def test_criterion_01_background_integral_vanishes():
 
 def test_criterion_02_scale_identity():
     t0 = time.perf_counter()
-    worst = max(abs(scale_identity(c) - math.log(c)) for c in (0.1, 0.5, 1.0, math.e, 10.0))
+    worst = measure_scale_identity((0.1, 0.5, 1.0, math.e, 10.0))
     wall = time.perf_counter() - t0
     ok = worst <= 1e-10 and wall <= 1.0
     _report(2, "scale identity equals log c", ok,
@@ -86,7 +80,7 @@ def test_criterion_02_scale_identity():
 
 def test_criterion_03_cosine_constant():
     t0 = time.perf_counter()
-    err = abs(cosine_integral_constant() - (EULER_GAMMA - math.log(2.0)))
+    err = measure_cosine_constant()
     wall = time.perf_counter() - t0
     ok = err <= 1e-9 and wall <= 1.0
     _report(3, "cosine integral constant", ok,
@@ -127,16 +121,7 @@ def test_criterion_04_linear_symbol():
 
 def test_criterion_05_derivation_equivalence():
     t0 = time.perf_counter()
-    p = KernelParams(h=1.0)
-    g = make_grid(-30.0, 60.0, 1024)
-    cfg = SimConfig(grid=g, t_end=1.0, backend="line_quadrature", dt=0.01, kernel=p)
-    worst_routes = worst_rhs = 0.0
-    for state, phix in _line_states(1024):
-        nv1 = normal_velocity_background(state, p)
-        nv2 = normal_velocity_bmo(state, galilean_shift(state, p), p)
-        tendency = rhs(state, cfg)
-        worst_routes = max(worst_routes, float(np.max(np.abs(nv1 - nv2))))
-        worst_rhs = max(worst_rhs, float(np.max(np.abs(tendency - nv2))))
+    worst_routes, worst_rhs = measure_velocity_routes(1024, FRONTS, 1.0)
     wall = time.perf_counter() - t0
     ok = worst_routes <= 1e-6 and worst_rhs <= 1e-6 and wall <= 30.0
     _report(5, "normal velocity derivations agree", ok,
@@ -145,34 +130,19 @@ def test_criterion_05_derivation_equivalence():
 
 
 def test_criterion_06_far_field_log_law():
-    g = make_grid(-30.0, 60.0, 1024)
-    phi, _ = front_profile(g.x, "gaussian", amplitude=0.5, width=2.0, center=1.3)
-    st = make_state(g, phi)
-    sh = galilean_shift(st, KernelParams(h=1.0))
-    ok = True
-    worst_mid = 0.0
-    for sgn in (1.0, -1.0):
-        u_errs, v_errs = [], []
-        for ay in (1e2, 1e3, 1e4):
-            s = velocity_at(st, 0.0, sgn * ay, sh)
-            u_errs.append(abs(s.u - 2.0 * math.log(ay)))
-            v_errs.append(abs(s.v))
-        ok = ok and u_errs[0] > u_errs[1] > u_errs[2] and v_errs[0] > v_errs[1] > v_errs[2]
-        ok = ok and u_errs[1] <= 1e-2 and v_errs[1] <= 1e-2
-        worst_mid = max(worst_mid, u_errs[1], v_errs[1])
+    front = ("gaussian", dict(amplitude=0.5, width=2.0, center=1.3))
+    u_errs, v_errs = measure_log_law(1024, front, (0.0,), (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), h=1.0)
+    # one row per sign of y, |y| = 1e2, 1e3, 1e4 along it
+    errs = np.concatenate([u_errs.reshape(2, 3), v_errs.reshape(2, 3)])
+    worst_mid = float(np.max(errs[:, 1]))
+    ok = bool(np.all(errs[:, :-1] > errs[:, 1:])) and worst_mid <= 1e-2
     _report(6, "far field approaches 2 log|y|", ok,
             f"monotone decay at |y| = 1e2, 1e3, 1e4, both signs; error at 1e3 = {worst_mid:.3e} <= 1e-02")
 
 
 def test_criterion_07_hilbert_pair_flat_front():
-    g = make_grid(-30.0, 60.0, 1024)
-    st = make_state(g, np.zeros(1024))
-    sh = galilean_shift(st, KernelParams(h=1.0))
-    worst = 0.0
-    for x in (0.0, 1.7, -4.0):
-        for y in (-50.0, -10.0, -2.0, 0.5, 3.0, 50.0):
-            s = velocity_at(st, x, y, sh)
-            worst = max(worst, abs(s.u - 2.0 * math.log(abs(y))), abs(s.v))
+    u_errs, v_errs = measure_log_law(1024, None, (0.0, 1.7, -4.0), (-50.0, -10.0, -2.0, 0.5, 3.0, 50.0), h=1.0)
+    worst = max(u_errs.max(), v_errs.max())
     ok = worst <= 1e-10
     _report(7, "flat front gives the exact log pair", ok,
             f"max |(u, v) - (2 log|y|, 0)| = {worst:.3e} <= 1e-10 over 18 probes")
@@ -196,13 +166,8 @@ def test_criterion_08_scaling_galilean_symmetry():
 
 
 def test_criterion_09_conservation_and_orders():
-    # (a) exact invariant: the front mean
-    g = make_grid(-2.0 * math.pi, 4.0 * math.pi, 256, periodic=True)
-    cfg = SimConfig(grid=g, t_end=0.5, backend="periodic_spectral",
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
-    traj = integrate(cfg)
-    drift = abs(float(np.mean(traj.final.phi)) - float(np.mean(traj.snapshots[0].phi))) / traj.final.t
+    # (a) exact invariant: the front mean, gaussian on a 4 pi periodic window
+    drift = measure_mean_drift(256, t_end=0.5)
 
     # (b) RK4 order by dt halving against a fine reference; two modes, so
     # the finest error (about 1e-9) sits far above the rounding floor
@@ -217,15 +182,9 @@ def test_criterion_09_conservation_and_orders():
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
     # (c) quadrature error ratio under dx halving, against frozen references
-    from test_quadrature import ORACLE_LINEAR, ORACLE_NONLINEAR, X0, _node, _oracle_state
+    from test_quadrature import _oracle_errors
 
-    qerrs = []
-    for n in (1200, 2400):
-        st, phix = _oracle_state(n)
-        i = _node(st.grid, X0)
-        p = KernelParams(h=1.0)
-        qerrs.append((abs(nonlinear_term(st, phix, p)[i] - ORACLE_NONLINEAR),
-                      abs(linear_term_quadrature(st, phix, p)[i] - ORACLE_LINEAR)))
+    qerrs = [_oracle_errors(n) for n in (1200, 2400)]
     ratio_nl = qerrs[0][0] / max(qerrs[1][0], 1e-14)
     ratio_lin = qerrs[0][1] / max(qerrs[1][1], 1e-14)
 
@@ -239,31 +198,13 @@ def test_criterion_09_conservation_and_orders():
 def test_criterion_10_half_space_closed_forms():
     pts = [(0.7, 0.6), (1.0, 1.0), (-1.3, 0.8), (2.0, 3.0), (-2.5, 1.7),
            (0.3, 2.2), (4.0, 0.9), (-0.8, 4.1), (1.9, 1.4), (-3.2, 2.6)]
-    step = 1e-3
-    worst_lap = 0.0
-    for f in (harmonic_extension, stream_function):
-        for y, z in pts:
-            lap = (f(HalfSpacePoint(y + step, z)) + f(HalfSpacePoint(y - step, z))
-                   + f(HalfSpacePoint(y, z + step)) + f(HalfSpacePoint(y, z - step))
-                   - 4.0 * f(HalfSpacePoint(y, z))) / step**2
-            worst_lap = max(worst_lap, abs(lap))
-
-    dz = 1e-4
-    worst_conj = max(
-        abs((stream_function(HalfSpacePoint(y, z + dz)) - stream_function(HalfSpacePoint(y, z - dz))) / (2 * dz)
-            - harmonic_extension(HalfSpacePoint(y, z)))
-        for y, z in pts[:5]
-    )
-
-    dy = 5e-5
-    worst_log = max(
-        abs((boundary_stream(y + dy) - boundary_stream(y - dy)) / (2 * dy) - 2.0 * math.log(y))
-        for y in (0.5, 1.0, 3.0)
-    )
+    worst_lap = max(measure_laplacian(f, pts) for f in (harmonic_extension, stream_function))
+    worst_conj = measure_conjugacy(pts)
+    worst_log = measure_boundary_velocity((0.5, 1.0, 3.0))
     ok = worst_lap <= 1e-6 and worst_conj <= 1e-8 and worst_log <= 1e-8
     _report(10, "half-space closed forms", ok,
             f"Laplacian residue = {worst_lap:.3e} <= 1e-06 at 10 interior points; "
-            f"dz-stream vs extension = {worst_conj:.3e} <= 1e-08; "
+            f"dz-stream vs extension = {worst_conj:.3e} <= 1e-08 at the same points; "
             f"boundary velocity vs 2 log y = {worst_log:.3e} <= 1e-08")
 
 

@@ -1,6 +1,7 @@
 """Command line interface: config parsing, artifacts, exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqgfronts.cli import SUITES, UsageError, _fmt, load_config, main, run_suite, write_csv
+from sqgfronts.cli import SUITES, UsageError, _decay_ratio, _fmt, load_config, main, run_suite, write_csv
 
 PERIODIC_CFG = {
     "grid": {"n": 256, "length": 4 * np.pi, "x_min": -2 * np.pi, "periodic": True},
@@ -151,6 +152,43 @@ def test_run_suite_unknown():
     assert SUITES == ("identities", "equivalence", "farfield", "qg", "symmetry")
 
 
+# ordered check names of each suite: the verify manifest contract and the
+# names the benchmark gates as {suite}.{name}
+SUITE_CHECKS = {
+    "identities": ["background_integral_zero", "scale_identity_vs_log", "cosine_integral_constant",
+                   "hilbert_pair_flat_front"],
+    "equivalence": ["derivation_I_vs_II", "rhs_vs_derivation_II", "rhs_regrouping"],
+    "farfield": ["farfield_u_error_at_1e3_x0p0", "farfield_v_error_at_1e3_x0p0",
+                 "farfield_monotone_decay_ratio_x0p0", "farfield_u_error_at_1e3_x3p0",
+                 "farfield_v_error_at_1e3_x3p0", "farfield_monotone_decay_ratio_x3p0"],
+    "qg": ["laplacian_harmonic_extension", "laplacian_stream_function", "dz_stream_vs_extension",
+           "boundary_trace", "boundary_velocity_2logy"],
+    "symmetry": ["scaling_galilean_k_2.0", "scaling_galilean_k_0.5", "translation_in_phi",
+                 "translation_in_x", "mean_conservation_per_unit_time"],
+}
+
+
+# symmetry at its default n = 256 takes seconds; at n = 64 the mean drift
+# reads 7.2e-9 against its 1e-8 bound, too close to use
+@pytest.mark.parametrize("name, n", [(name, 128 if name == "symmetry" else None) for name in SUITES])
+def test_run_suite_passes_with_pinned_check_names(name, n):
+    checks = run_suite(name, n, None, 1.0)
+    assert [c["name"] for c in checks] == SUITE_CHECKS[name]
+    for c in checks:
+        assert set(c) == {"name", "measured", "tolerance", "passed", "wall_s"}
+        assert c["passed"], c
+        assert c["wall_s"] >= 0.0
+
+
+def test_decay_ratio_skips_roundoff_sequences():
+    u = np.array([1e-4, 1e-6, 1e-8])
+    zeros = np.array([5.2e-17, 5.2e-17, 1e-102])  # v on the symmetry axis
+    assert _decay_ratio(u, zeros) == pytest.approx(1e-2)
+    assert _decay_ratio(zeros) == math.inf  # nothing left to measure fails the check
+    # a sequence that rises out of roundoff still counts, floored
+    assert _decay_ratio(u, np.array([1e-16, 1e-3, 1e-2])) == pytest.approx(1e11)
+
+
 def test_verify_qg_passes(capsys):
     assert main(["verify", "--suite", "qg"]) == 0
     out = capsys.readouterr().out
@@ -223,6 +261,34 @@ def test_dispersion_small_run(tmp_path):
 )
 def test_dispersion_rejects(argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+
+
+# numeric flags that used to run a default, print FAIL everywhere or die with
+# a ValueError traceback (exit 1); the second entry must appear in the message
+BAD_FLAGS = [
+    (["verify", "--n", "0"], "--n"),
+    (["dispersion", "--n", "0"], "--n"),
+    (["verify", "--n", "255"], "--n"),
+    (["verify", "--suite", "identities", "--n", "8"], "n = 8"),  # probes within one spacing of the front
+    (["symmetry", "--n", "255"], "--n"),
+    (["verify", "--suite", "symmetry", "--dt", "-1"], "--dt"),
+    (["verify", "--suite", "symmetry", "--dt", "1", "--n", "64"], "dt = 1.0"),  # dt > t_end
+    (["verify", "--suite", "symmetry", "--dt", "0.1", "--n", "64"], "dt = 0.1"),  # above the CFL step
+    (["dispersion", "--dt", "1"], "dt = 1.0"),
+    (["dispersion", "--n", "64", "--dt", "0.01"], "dt = 0.01"),
+    (["symmetry", "--t-end", "-1"], "--t-end"),
+    (["symmetry", "--k", "nan"], "--k"),
+    (["symmetry", "--k", "two"], "--k"),
+    (["dispersion", "--xi", "1,x"], "--xi"),
+    (["verify", "--tolerance-scale", "-1"], "--tolerance-scale"),
+    (["verify", "--tolerance-scale", "nan"], "--tolerance-scale"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=["_".join(argv) for argv, _ in BAD_FLAGS])
+def test_numeric_flags_exit_2_and_name_the_flag(argv, flag, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_velocity_map(tmp_path):

@@ -17,6 +17,7 @@ from sqgfronts import (
     scaling_galilean_check,
     step_rk4,
 )
+from sqgfronts.cli import measure_mean_drift, measure_scaling_galilean, measure_translation_in_x
 from sqgfronts.dynamics import MAX_SLOPE
 
 
@@ -91,11 +92,8 @@ def test_rhs_translation_in_phi():
 
 
 def test_rhs_translation_in_x():
-    cfg = _periodic_cfg()
-    st = initial_state(cfg)
-    base = rhs(st, cfg)
-    rolled = rhs(st.with_phi(np.roll(st.phi, 5)), cfg)
-    assert np.max(np.abs(rolled - np.roll(base, 5))) < 1e-10
+    # the _periodic_cfg front rolled by 5 nodes
+    assert measure_translation_in_x(256) < 1e-10
 
 
 def test_rhs_galilean_form_agrees():
@@ -253,17 +251,13 @@ def test_scaling_check_bad_k():
 
 
 def test_scaling_check_small_defect():
-    cfg = _periodic_cfg(n=128, t_end=0.25)
-    for k in (2.0, 0.5):
-        assert scaling_galilean_check(cfg, k) < 1e-3
+    for k in (2.0, 0.5):  # on the _periodic_cfg(n=128, t_end=0.25) run
+        assert measure_scaling_galilean(128, k, 0.25) < 1e-3
 
 
 def test_mean_is_conserved():
-    cfg = _periodic_cfg(n=256, t_end=0.25)
-    traj = integrate(cfg)
-    means = [float(np.mean(s.phi)) for s in traj.snapshots]
-    drift = abs(means[-1] - means[0]) / traj.final.t
-    assert drift < 1e-8
+    # the _periodic_cfg run to t = 0.25
+    assert measure_mean_drift(256, t_end=0.25) < 1e-8
 
 
 def test_galilean_form_integration_matches():

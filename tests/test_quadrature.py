@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from sqgfronts import (
-    EULER_GAMMA,
     KernelParams,
-    background_term,
     cosine_integral_constant,
     diagonal_limit_one_sided,
     front_profile,
@@ -31,6 +29,7 @@ from sqgfronts import (
     scale_identity,
 )
 from sqgfronts import quadrature
+from sqgfronts.cli import measure_background, measure_scale_identity
 from sqgfronts.quadrature import _by_offset, _even_row_sum, _pair_sum, _separation
 
 X0 = 0.7
@@ -97,37 +96,37 @@ def test_diagonal_limit():
 def test_nonlinear_term_oracle():
     st, phix = _oracle_state(1200)
     i = _node(st.grid, X0)
-    val = nonlinear_term(st, phix, KernelParams(h=1.0))[i]
+    val = nonlinear_term(st, phix)[i]
     assert abs(val - ORACLE_NONLINEAR) < 1e-9
 
 
 def test_linear_term_oracle():
     st, phix = _oracle_state(1200)
     i = _node(st.grid, X0)
-    val = linear_term_quadrature(st, phix, KernelParams(h=1.0))[i]
+    val = linear_term_quadrature(st, phix)[i]
     assert abs(val - ORACLE_LINEAR) < 1e-8
 
 
 def test_split_sums_to_rhs_oracle():
     st, phix = _oracle_state(1200)
     i = _node(st.grid, X0)
-    p = KernelParams(h=1.0)
-    total = nonlinear_term(st, phix, p)[i] + linear_term_quadrature(st, phix, p)[i]
+    total = nonlinear_term(st, phix)[i] + linear_term_quadrature(st, phix)[i]
     assert abs(total - ORACLE_TENDENCY) < 5e-7
+
+
+def _oracle_errors(n):
+    """Errors of the nonlinear and the linear term at X0 against the oracles."""
+    st, phix = _oracle_state(n)
+    i = _node(st.grid, X0)
+    return abs(nonlinear_term(st, phix)[i] - ORACLE_NONLINEAR), abs(linear_term_quadrature(st, phix)[i] - ORACLE_LINEAR)
 
 
 def test_quadrature_convergence_rate():
     # composite trapezoid + endpoint and kink corrections: 4th order,
     # so halving dx should cut the error by about 16; require at least 8
-    errs_nl, errs_lin = [], []
-    for n in (1200, 2400):
-        st, phix = _oracle_state(n)
-        i = _node(st.grid, X0)
-        p = KernelParams(h=1.0)
-        errs_nl.append(abs(nonlinear_term(st, phix, p)[i] - ORACLE_NONLINEAR))
-        errs_lin.append(abs(linear_term_quadrature(st, phix, p)[i] - ORACLE_LINEAR))
-    assert errs_nl[0] / max(errs_nl[1], 1e-14) > 8.0
-    assert errs_lin[0] / max(errs_lin[1], 1e-14) > 8.0
+    (nl1, lin1), (nl2, lin2) = _oracle_errors(1200), _oracle_errors(2400)
+    assert nl1 / max(nl2, 1e-14) > 8.0
+    assert lin1 / max(lin2, 1e-14) > 8.0
 
 
 def test_oracle_against_live_mpmath():
@@ -158,26 +157,22 @@ def test_oracle_against_live_mpmath():
 def test_background_term_vanishes():
     # the strip-consistency integral is identically zero in the continuum;
     # the quadrature should sit at the discretization floor
-    st, phix = _oracle_state(1200)
-    for h in (1.0, 2.5):
-        worst = np.max(np.abs(background_term(st, phix, KernelParams(h=h))))
-        assert worst < 1e-8
+    front = ("gaussian", dict(amplitude=0.5, width=2.0, center=0.0))  # the oracle front
+    assert measure_background(1200, [front], (1.0, 2.5)) < 1e-8
 
 
 def test_even_front_gives_odd_tendency():
     # both integrals flip sign under x -> -x when phi is even (the slope is
     # odd and the kernels are even); check the exact grid reflection
     st, phix = _oracle_state(1200)
-    p = KernelParams(h=1.0)
-    total = nonlinear_term(st, phix, p) + linear_term_quadrature(st, phix, p)
+    total = nonlinear_term(st, phix) + linear_term_quadrature(st, phix)
     n = st.grid.n
     j = np.arange(1, n)
     assert np.max(np.abs(total[j] + total[n - j])) < 1e-12
 
 
 def test_scale_identity():
-    for c in (0.1, 0.5, 1.0, np.e, 10.0):
-        assert abs(scale_identity(c) - np.log(c)) < 1e-10
+    assert measure_scale_identity((0.1, 0.5, 1.0, np.e, 10.0)) < 1e-10
     # the identity only sees |c|
     assert abs(scale_identity(-2.0) - np.log(2.0)) < 1e-10
     with pytest.raises(ValueError):
@@ -190,11 +185,6 @@ def test_scale_identity_cutoff_insensitive():
     a = scale_identity(np.e, cutoff=1e3)
     b = scale_identity(np.e, cutoff=1e4)
     assert abs(a - b) < 1e-12
-
-
-def test_cosine_integral_constant():
-    got = cosine_integral_constant()
-    assert abs(got - (EULER_GAMMA - np.log(2.0))) < 1e-9
 
 
 def test_cosine_integral_truncation_sweep():

@@ -25,6 +25,7 @@ from sqgfronts import (
     normal_velocity_bmo,
     velocity_at,
 )
+from sqgfronts.cli import measure_log_law, measure_velocity_routes
 from sqgfronts.quadrature import _log_w_plus_root
 from sqgfronts.velocity import _riesz_at_probes, _strip_temperature
 
@@ -34,6 +35,7 @@ ORACLE_V_05_3 = 0.021227123228235058
 ORACLE_U_3_M5 = 3.262048301990763  # u at (3.0, -5.0)
 ORACLE_V_3_M5 = 0.021393203828967115
 ORACLE_UBAR_EXP = -0.73993755276824114  # for phi = exp(-x^2), h = 1
+GAUSSIAN = ("gaussian", dict(amplitude=0.5, width=2.0, center=0.0))  # the oracle front
 
 
 def _state(n=1200, amplitude=0.5, width=2.0, center=0.0):
@@ -88,29 +90,10 @@ def test_velocity_field_h_independent():
         assert max(vs) - min(vs) < 1e-9
 
 
-def test_flat_front_hilbert_pair():
-    # flat front: u = 2 log|y| everywhere, v = 0, at any x
-    g = make_grid(-30.0, 60.0, 1024)
-    st = make_state(g, np.zeros(1024))
-    sh = galilean_shift(st, KernelParams(h=1.0))
-    for x in (0.0, 1.7, -4.0):
-        for y in (-50.0, -10.0, -2.0, 0.5, 3.0, 50.0):
-            s = velocity_at(st, x, y, sh)
-            assert abs(s.u - 2.0 * np.log(abs(y))) < 1e-10
-            assert abs(s.v) < 1e-10
-
-
 def test_far_field_at_fixed_x():
     # off the symmetry axis the log law still holds and v still decays
-    st = _state()
-    sh = galilean_shift(st, KernelParams(h=1.0))
-    u_errs, v_errs = [], []
-    for ay in (1e2, 1e3, 1e4):
-        s = velocity_at(st, 3.0, -ay, sh)
-        u_errs.append(abs(s.u - 2.0 * np.log(ay)))
-        v_errs.append(abs(s.v))
-    assert u_errs[0] > u_errs[1] > u_errs[2]
-    assert v_errs[0] > v_errs[1] > v_errs[2]
+    (u_errs,), (v_errs,) = measure_log_law(1200, GAUSSIAN, (3.0,), (-1e2, -1e3, -1e4))
+    assert np.all(np.diff(u_errs) < 0) and np.all(np.diff(v_errs) < 0)
     assert u_errs[1] < 1e-2
 
 
@@ -141,11 +124,7 @@ def test_periodic_state_rejected():
 
 def test_normal_velocity_routes_agree():
     # strip-referenced route vs representative-velocity route
-    st = _state()
-    p = KernelParams(h=1.0)
-    nv1 = normal_velocity_background(st, p)
-    nv2 = normal_velocity_bmo(st, galilean_shift(st, p), p)
-    assert np.max(np.abs(nv1 - nv2)) < 1e-6
+    assert measure_velocity_routes(1200, [GAUSSIAN], 1.0)[0] < 1e-6
 
 
 def test_normal_velocity_h_independent():
