@@ -40,6 +40,7 @@ from .grid import (
     finite_difference_derivative,
     make_state,
     spectral_derivative,
+    support_defect,
 )
 from .quadrature import (
     KernelParams,
@@ -253,8 +254,12 @@ def _diagnose(state: FrontState, cfg: SimConfig, ws) -> dict:
         "l2": float(np.sqrt(np.sum(state.phi**2) * state.grid.dx)),
         "max_slope": float(np.max(np.abs(phix))),
     }
-    if cfg.audit_background and cfg.backend == "line_quadrature":
-        rec["max_background"] = float(np.max(np.abs(background_term(state, phix, cfg.kernel))))
+    if cfg.backend == "line_quadrature":
+        # the line tails assume a front flat beyond the middle half
+        rec["support_defect"] = support_defect(state)
+        rec["edge_asymmetry"] = abs(float(state.phi[0]) - float(state.phi[-1]))
+        if cfg.audit_background:
+            rec["max_background"] = float(np.max(np.abs(background_term(state, phix, cfg.kernel))))
     return rec
 
 
@@ -323,12 +328,15 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     if cfg.dt is not None:
         dt_a = cfg.dt
     elif cfg.backend == "periodic_spectral":
-        dt_a = min(cfl_timestep(g, cfg.cfl_safety), cfl_timestep(grid_b, cfg.cfl_safety) / k)
+        # on a coarse grid the CFL step can exceed the horizon; each run still
+        # takes at least one step
+        dt_a = min(cfl_timestep(g, cfg.cfl_safety), cfl_timestep(grid_b, cfg.cfl_safety) / k, cfg.t_end / k)
     else:
         raise ValueError("line_quadrature has no automatic step size; set cfg.dt")
 
     cfg_a = replace(cfg, t_end=cfg.t_end / k, dt=dt_a)
-    cfg_b = replace(cfg, grid=grid_b, t_end=cfg.t_end, dt=dt_a * k)
+    # min: (t_end / k) * k can round one ulp above t_end
+    cfg_b = replace(cfg, grid=grid_b, t_end=cfg.t_end, dt=min(dt_a * k, cfg.t_end))
     traj_a = integrate(cfg_a, state_a)
     traj_b = integrate(cfg_b, state_b)
     if traj_a.aborted or traj_b.aborted:

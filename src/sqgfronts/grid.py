@@ -59,6 +59,8 @@ class LineGrid:
             raise ValueError(f"grid size must be even for spectral ops, got n={self.n}")
         if not np.isfinite(self.dx) or self.dx <= 0.0:
             raise ValueError(f"grid spacing must be positive and finite, got dx={self.dx}")
+        if not np.isfinite(self.x_min):
+            raise ValueError(f"grid origin must be finite, got x_min={self.x_min}")
 
     @property
     def length(self) -> float:

@@ -16,13 +16,22 @@ always evaluated together over the whole grid window.
 Line-mode scheme, shared by every op here and in `velocity`:
 
   composite trapezoid over all grid nodes
-  + closed-form antiderivative tails beyond the grid window, using that the
-    front is flat (phi = far-field constant, rho = 0) out there
-  + the first Euler-Maclaurin endpoint correction dx^2/12 * [f'(A) - f'(B)],
-    with f' evaluated on the known flat-front form at the window ends.
+  + closed-form antiderivative tails beyond the grid window [A, B], using
+    that the front is flat (phi = far-field constant, rho = 0) out there
+  + the first Euler-Maclaurin endpoint correction dx^2/12 * [f'(A) - f'(B)].
 
-The correction lifts the scheme from O(dx^2) to O(dx^4); without it the
-endpoint error of the slowly decaying kernels dominates everything else.
+Beyond the window every integrand is then a combination of kernels
+1/sqrt((x' - x0)^2 + c^2), and for one such kernel the tails plus the
+correction are, up to a divergent constant that does not depend on c,
+
+    T(w_r, w_l, c) = sum over w in (w_r, w_l) of
+                     dx^2/12 * w / (w^2 + c^2)^(3/2) - log(w + sqrt(w^2 + c^2))
+
+with w_r = B - x0 and w_l = x0 - A the distances to the window ends
+(`_end_term`). Each op adds the signed difference of the T of its two
+kernels, in which the constant cancels. The correction lifts the scheme
+from O(dx^2) to O(dx^4); without it the endpoint error of the slowly
+decaying kernels dominates everything else.
 
 Diagonal rule: the nonlinear integrand has an odd jump at x' = x with
 one-sided limits +(-) phi_xx (sqrt(1+phi_x^2)-1)/sqrt(1+phi_x^2) from the
@@ -121,34 +130,32 @@ def diagonal_limit_one_sided(phi_x: float, phi_xx: float) -> float:
 # shared line-mode machinery
 
 def _log_w_plus_root(w, c):
-    """log(w + sqrt(w^2 + c^2)), stable for w of either sign; needs c > 0."""
+    """log(w + sqrt(w^2 + c^2)), stable for w of either sign; needs c > 0
+    where w < 0 (c = 0 with w > 0 gives log 2w)."""
     w = np.asarray(w, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    root = np.hypot(w, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # both branches evaluate eagerly; each is only trusted on its own side
-        plain = np.log(w + root)
-        flipped = 2.0 * np.log(c) - np.log(root - w)
-    return np.where(w >= 0.0, plain, flipped)
+    big = np.abs(w) + np.hypot(w, c)
+    # for w < 0, w + root = c^2 / (|w| + root), free of the cancellation
+    return np.log(np.where(w >= 0.0, big, np.square(c) / big))
 
 
-def _half_tail(w, c_num, c_den):
-    """int_w^inf [1/sqrt(s^2+c_den^2) - 1/sqrt(s^2+c_num^2)] ds.
+def _end_term(w_r, w_l, c, dx: float):
+    """T(w_r, w_l, c) of the module docstring: tails plus end correction of
+    the kernel 1/sqrt((x' - x0)^2 + c^2), less a constant independent of c.
 
-    Equals log((w+sqrt(w^2+c_num^2))/(w+sqrt(w^2+c_den^2))); written through
-    the stable log helper so probes beyond the window (w < 0) stay accurate.
-    Either c may be 0 as long as w > 0 on those rows.
+    Precondition: the front is flat beyond the window. w_r = B - x0 and
+    w_l = x0 - A share one shape, and c broadcasts against it; a w may be
+    negative (a probe outside the window) only where c > 0.
     """
-    w = np.asarray(w, dtype=np.float64)
-    num = np.hypot(w, c_num)
-    den = np.hypot(w, c_den)
-    # plain form is fine for w >= 0 even with a zero c
-    if np.all(w >= 0.0):
-        return np.log((w + num) / (w + den))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plain = np.log((w + num) / (w + den))
-    stable = _log_w_plus_root(w, c_num) - _log_w_plus_root(w, c_den)
-    return np.where(w >= 0.0, plain, stable)
+    w = np.array([w_r, w_l], dtype=np.float64)
+    end = dx * dx / 12.0 * w / np.hypot(w, c) ** 3 - _log_w_plus_root(w, c)
+    return end[0] + end[1]
+
+
+def _end_distances(grid):
+    """Distances b_r, b_l from every node to the right and left window ends,
+    clamped at dx/2 so the end nodes keep a finite flat-front kernel."""
+    x, half = grid.x, 0.5 * grid.dx
+    return np.maximum(x[-1] - x, half), np.maximum(x - x[0], half)
 
 
 # kernel entries per row block (512 KiB): small enough for the in-place passes
@@ -326,7 +333,7 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     The integral does not depend on the reference depth.
     """
     g = state.grid
-    x, phi = g.x, state.phi
+    phi = state.phi
     rho = np.asarray(phix, dtype=np.float64)
     n, dx = g.n, g.dx
     diag_coda = _diagonal_jump_correction("contrast", rho, dx, g.periodic)
@@ -346,15 +353,10 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
         return _pair_sum(contrast, n, rho, symmetric=True) * dx + diag_coda
 
     out = _pair_sum(contrast, n, rho, ends=True, symmetric=True) * dx
-    c_inf = far_field_value(state)
-    d1 = phi - c_inf
-    b_r = np.maximum(x[-1] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[0], 0.5 * dx)
-    # tail integrand rho(x) * [1/sqrt(s^2+d1^2) - 1/|s|]
-    tails = _half_tail(b_r, 0.0, d1) + _half_tail(b_l, 0.0, d1)
-    # d/ds of the flat-front integrand at the window ends
-    fp = (1.0 / b_r**2 - b_r / np.hypot(b_r, d1) ** 3) + (1.0 / b_l**2 - b_l / np.hypot(b_l, d1) ** 3)
-    return out + rho * (tails - dx * dx / 12.0 * fp) + diag_coda
+    # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
+    b = _end_distances(g)
+    ends = _end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx)
+    return out + rho * ends + diag_coda
 
 
 def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
@@ -370,7 +372,7 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     g = state.grid
     if g.periodic:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
-    x, n, dx = g.x, g.n, g.dx
+    n, dx = g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
     diag_coda = _diagonal_jump_correction("bare", rho, dx, periodic=False)
 
@@ -381,12 +383,8 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, rho, ends=True)
     own = _even_row_sum(-1.0 / np.hypot(sep[n - 1:], 1.0), diag=-1.0)
     out = (bare + rho * own) * dx
-
-    b_r = np.maximum(x[-1] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[0], 0.5 * dx)
-    tails = _half_tail(b_r, 1.0, 0.0) + _half_tail(b_l, 1.0, 0.0)
-    fp = (1.0 / np.hypot(b_r, 1.0) ** 3 * b_r - 1.0 / b_r**2) + (b_l / np.hypot(b_l, 1.0) ** 3 - 1.0 / b_l**2)
-    return out + rho * (tails - dx * dx / 12.0 * fp) + diag_coda
+    b = _end_distances(g)
+    return out + rho * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx)) + diag_coda
 
 
 def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | None = None) -> np.ndarray:
@@ -414,15 +412,9 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
         return np.subtract(q, k, out=k)
 
     out = _pair_sum(strip, n, ends=True, diag=q - 1.0 / c1) * dx
-
-    # tails of int [1/sqrt(x'^2+1) - 1/sqrt((x'-x)^2+c1^2)] dx' beyond the window
     xa, xb = x[0], x[-1]
-    tail_r = _log_w_plus_root(xb - x, c1) - _log_w_plus_root(xb, 1.0)
-    tail_l = _log_w_plus_root(xa, 1.0) - _log_w_plus_root(xa - x, c1) + 2.0 * np.log(c1)
-    fp_b = -xb / np.hypot(xb, 1.0) ** 3 + (xb - x) / np.hypot(xb - x, c1) ** 3
-    fp_a = -xa / np.hypot(xa, 1.0) ** 3 + (xa - x) / np.hypot(xa - x, c1) ** 3
-    bracket = out + tail_r + tail_l - dx * dx / 12.0 * (fp_b - fp_a)
-    return rho * (bracket - 2.0 * np.log(c1))
+    ends = _end_term(xb, -xa, 1.0, dx) - _end_term(xb - x, x - xa, c1, dx)
+    return rho * (out + ends - 2.0 * np.log(c1))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ separate (their agreement is an acceptance check, not an assumption):
     normal, coupling the slope-contrast integral to the Galilean shift.
 
 All quadratures share the trapezoid + closed-form tails + Euler-Maclaurin
-endpoint treatment of `quadrature`. Line mode only: the anchored reference
-kernel has no periodic analogue.
+endpoint treatment of `quadrature`, with the tails and endpoint terms from its
+`_end_term`. Line mode only: the anchored reference kernel has no periodic
+analogue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +44,9 @@ from .quadrature import (
     KernelParams,
     _by_offset,
     _diagonal_jump_correction,
+    _end_distances,
+    _end_term,
     _front_kernel,
-    _half_tail,
-    _log_w_plus_root,
     _pair_sum,
     _separation,
     _strip_kernel,
@@ -107,11 +107,8 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
 
     denom = np.hypot(x, h + state.phi)
     fu = 1.0 / np.hypot(x, 1.0) - 1.0 / denom
-    a_end, b_end = x[0], x[-1]
-    tails = _half_tail(np.array(b_end), d, 1.0) + _half_tail(np.array(-a_end), d, 1.0)
-    gp = lambda t: -t / np.hypot(t, 1.0) ** 3 + t / np.hypot(t, d) ** 3
-    corr = -dx * dx / 12.0 * (gp(b_end) - gp(a_end))
-    ubar = -(_trapezoid(fu) * dx + float(tails) + corr)
+    xa, xb = x[0], x[-1]
+    ubar = -(_trapezoid(fu) * dx + float(_end_term(xb, -xa, 1.0, dx) - _end_term(xb, -xa, d, dx)))
 
     vbar = _trapezoid(rho / denom) * dx  # integrand vanishes at the ends
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
@@ -138,19 +135,14 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> 
     b = h + c_inf
     rho = finite_difference_derivative(state)
 
-    kernel = np.hypot(x - xs, y - phi)
-    np.reciprocal(kernel, out=kernel)
-    kernel -= 1.0 / np.hypot(xs, h + phi)
+    # front kernel less the anchored reference; sqrt of squares, since np.hypot
+    # costs about twice as much per node
+    kernel = 1.0 / np.sqrt(np.square(x - xs) + np.square(y - phi))
+    kernel -= 1.0 / np.sqrt(np.square(xs) + np.square(h + phi))
     xa, xb = float(xs[0]), float(xs[-1])
-    w_r = xb - x
-    w_l = x - xa
-    # probe-centered front tail paired with anchor-centered reference tail
-    tail = _log_w_plus_root(np.array([xb, w_r, -xa, w_l]), np.array([b, abs(a), b, abs(a)]))
-    tails = tail[0] - tail[1] + tail[2] - tail[3]
-    fp_b = -w_r / math.hypot(w_r, a) ** 3 + xb / math.hypot(xb, b) ** 3
-    fp_a = w_l / math.hypot(w_l, a) ** 3 + xa / math.hypot(xa, b) ** 3
-    corr = -dx * dx / 12.0 * (fp_b - fp_a)
-    u = -(_trapezoid(kernel) * dx + float(tails) + corr) - shift.ubar
+    # probe-centered front kernel and anchor-centered reference, in one call
+    ends = _end_term(np.array([xb - x, xb]), np.array([x - xa, -xa]), np.array([abs(a), b]), dx)
+    u = -(_trapezoid(kernel) * dx + float(ends[0] - ends[1])) - shift.ubar
 
     kernel *= rho
     v = -_trapezoid(kernel) * dx - shift.vbar
@@ -168,7 +160,7 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     params = params or KernelParams()
     h = resolve_depth(state, params)
     g = state.grid
-    x, phi = g.x, state.phi
+    phi = state.phi
     n, dx = g.n, g.dx
     rho = finite_difference_derivative(state)
     c_inf = far_field_value(state)
@@ -189,14 +181,8 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
                       ends=True, symmetric=True)
     own = _pair_sum(strip, n, ends=True, diag=-1.0 / c1)
     out = (front + rho * own) * dx
-
-    b_r = np.maximum(x[-1] - x, 0.5 * dx)
-    b_l = np.maximum(x - x[0], 0.5 * dx)
-    tails = _half_tail(b_r, c1, d1) + _half_tail(b_l, c1, d1)
-    gp = (b_r / np.hypot(b_r, c1) ** 3 - b_r / np.hypot(b_r, d1) ** 3) + (
-        b_l / np.hypot(b_l, c1) ** 3 - b_l / np.hypot(b_l, d1) ** 3
-    )
-    star = out + rho * (tails - dx * dx / 12.0 * gp) + diag_coda
+    b = _end_distances(g)
+    star = out + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx)) + diag_coda
     return star - 2.0 * np.log(c1) * rho
 
 
@@ -230,16 +216,9 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
 
     # the diagonal's odd jump (+- phi_xx / sqrt(1+phi_x^2)) averages to 0
     out = _pair_sum(anchored, n, rho, ends=True) * dx
-
-    xa, xb = x[0], x[-1]
-    b_r = np.maximum(xb - x, 0.5 * dx)
-    b_l = np.maximum(x - xa, 0.5 * dx)
-    tail_r = _log_w_plus_root(xb, d) - np.log(b_r + np.hypot(b_r, d1))
-    tail_l = _log_w_plus_root(-xa, d) - np.log(b_l + np.hypot(b_l, d1))
-    # clamped separations; rho vanishes wherever the clamp engages
-    gp_b = -b_r / np.hypot(b_r, d1) ** 3 + xb / np.hypot(xb, d) ** 3
-    gp_a = b_l / np.hypot(b_l, d1) ** 3 + xa / np.hypot(xa, d) ** 3
-    j_term = out + rho * (tail_r + tail_l - dx * dx / 12.0 * (gp_b - gp_a)) + diag_coda
+    # front kernel at the target's clamped end distances, reference at the anchor
+    ends = _end_term(*_end_distances(g), d1, dx) - _end_term(x[-1], -x[0], d, dx)
+    j_term = out + rho * ends + diag_coda
     return j_term + rho * shift.ubar - shift.vbar
 
 

@@ -36,6 +36,35 @@ BAD_TYPES = [
     ("t_end", lambda c: c.update(t_end=True)),
 ]
 
+# Python's json reads NaN and Infinity as floats, and an integer literal may
+# be too large for a float; these used to end in a ValueError or
+# OverflowError traceback (exit 1) or, for the center, a silent all-zero front
+HUGE = 10**400
+NON_FINITE = [
+    ("grid.x_min", math.nan),
+    ("grid.length", math.inf),
+    ("initial.params.amplitude", math.nan),
+    ("initial.params.center", math.inf),
+    ("initial.params.width", HUGE),
+    ("kernel.h", math.inf),
+    ("dt", math.nan),
+    ("t_end", HUGE),
+]
+
+
+def _setter(field, value):
+    def mutate(c):
+        *parents, last = field.split(".")
+        for key in parents:
+            c = c.setdefault(key, {})
+        c[last] = value
+    return mutate
+
+
+BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE]
+BAD_FIELD_IDS = ([field for field, _ in BAD_TYPES]
+                 + [f"{field}-{'huge' if value is HUGE else value}" for field, value in NON_FINITE])
+
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
@@ -85,7 +114,7 @@ def test_load_config_overrides(tmp_path):
         lambda c: c.update(output_stride=2.7),
         lambda c: c.update(galilean_form="no"),
         lambda c: c.update(galilean_form=True),  # line backend has no advective grouping
-    ] + [mutate for _, mutate in BAD_TYPES],
+    ] + [mutate for _, mutate in BAD_FIELDS],
 )
 def test_load_config_rejects(tmp_path, mutate):
     payload = json.loads(json.dumps(LINE_CFG))
@@ -94,7 +123,7 @@ def test_load_config_rejects(tmp_path, mutate):
         load_config(_write_cfg(tmp_path, payload))
 
 
-@pytest.mark.parametrize("field, mutate", BAD_TYPES, ids=[field for field, _ in BAD_TYPES])
+@pytest.mark.parametrize("field, mutate", BAD_FIELDS, ids=BAD_FIELD_IDS)
 def test_badly_typed_field_exits_2_and_names_it(tmp_path, capsys, field, mutate):
     payload = json.loads(json.dumps(LINE_CFG))
     mutate(payload)
@@ -164,7 +193,7 @@ SUITE_CHECKS = {
     "qg": ["laplacian_harmonic_extension", "laplacian_stream_function", "dz_stream_vs_extension",
            "boundary_trace", "boundary_velocity_2logy"],
     "symmetry": ["scaling_galilean_k_2.0", "scaling_galilean_k_0.5", "translation_in_phi",
-                 "translation_in_x", "mean_conservation_per_unit_time"],
+                 "translation_in_x", "mean_conservation_per_unit_time", "l2_conservation_per_unit_time"],
 }
 
 
@@ -321,6 +350,15 @@ def test_symmetry_identity(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is True
+
+
+def test_symmetry_coarse_grid_fails_checks_not_usage():
+    # at n = 8 the CFL step exceeds t_end / k; each run is cut to the horizon
+    # and the unresolved grid fails its checks (exit 1) instead of exit 2
+    assert main(["verify", "--suite", "symmetry", "--n", "8"]) == 1
+    assert main(["symmetry", "--n", "8", "--k", "3"]) == 1
+    # (0.7 / 0.3) * 0.3 rounds one ulp above 0.7: the rescaled run keeps its step
+    assert main(["symmetry", "--n", "8", "--t-end", "0.7", "--k", "0.3"]) == 1
 
 
 def test_symmetry_bad_k():

@@ -16,8 +16,9 @@ from sqgfronts import (
     rhs_galilean_form,
     scaling_galilean_check,
     step_rk4,
+    support_defect,
 )
-from sqgfronts.cli import measure_mean_drift, measure_scaling_galilean, measure_translation_in_x
+from sqgfronts.cli import measure_invariant_drift, measure_scaling_galilean, measure_translation_in_x
 from sqgfronts.dynamics import MAX_SLOPE
 
 
@@ -194,6 +195,19 @@ def test_integrate_line_smoke():
     assert len(traj.snapshots) == 3  # stride 1: t = 0, 0.005, 0.01
 
 
+def test_line_diagnostics_record_the_flat_tail_assumption():
+    g = make_grid(-30.0, 60.0, 256)
+    cfg = SimConfig(grid=g, t_end=0.01, backend="line_quadrature", dt=0.005,
+                    initial_family="gaussian",
+                    initial_params={"amplitude": 0.5, "width": 2.0, "center": 0.0})
+    traj = integrate(cfg)
+    for d, snap in zip(traj.diagnostics, traj.snapshots):
+        assert d["support_defect"] == support_defect(snap)
+        assert d["edge_asymmetry"] == abs(float(snap.phi[0]) - float(snap.phi[-1]))
+    # the periodic backend has no window ends
+    assert "support_defect" not in integrate(_periodic_cfg(t_end=0.05)).diagnostics[0]
+
+
 def test_integrate_stride_and_landing():
     cfg = _periodic_cfg(t_end=0.05, output_stride=10)
     traj = integrate(cfg)
@@ -257,7 +271,15 @@ def test_scaling_check_small_defect():
 
 def test_mean_is_conserved():
     # the _periodic_cfg run to t = 0.25
-    assert measure_mean_drift(256, t_end=0.25) < 1e-8
+    assert measure_invariant_drift(256, t_end=0.25)[0] < 1e-8
+
+
+def test_l2_drift_refines_with_n():
+    # int phi^2 is conserved by the continuous equation; its relative drift
+    # on the symmetry run falls about 63x per doubling (1.2e-7 to 2.0e-9)
+    coarse = measure_invariant_drift(128)[1]
+    fine = measure_invariant_drift(256)[1]
+    assert fine * 16.0 <= coarse
 
 
 def test_galilean_form_integration_matches():

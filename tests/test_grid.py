@@ -53,6 +53,12 @@ def test_make_grid_rejects_bad_length():
         make_grid(0.0, -2.0, 64)
 
 
+@pytest.mark.parametrize("x_min", [np.nan, np.inf, -np.inf])
+def test_make_grid_rejects_non_finite_origin(x_min):
+    with pytest.raises(ValueError, match="x_min"):
+        make_grid(x_min, 1.0, 64)
+
+
 def test_state_validation():
     g = make_grid(-1.0, 2.0, 64)
     with pytest.raises(ValueError):

@@ -318,3 +318,27 @@ def test_even_row_sum_matches_dense_row_sum():
     want = _pair_sum(lambda i0, i1: view[i0:i1].copy(), n, ends=True, diag=-1.0)
     got = _even_row_sum(ref[n - 1:], diag=-1.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_log_w_plus_root_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for w in (-50.0, -3.0, -1e-3, 0.0, 2.0, 40.0):
+        for c in (0.3, 1.0, 5.0):
+            ref = mpmath.log(w + mpmath.sqrt(mpmath.mpf(w) ** 2 + mpmath.mpf(c) ** 2))
+            assert abs(float(quadrature._log_w_plus_root(w, c)) - float(ref)) <= 1e-15
+    assert quadrature._log_w_plus_root(3.0, 0.0) == pytest.approx(np.log(6.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("x0", [0.7, 45.0, -80.0])
+def test_end_term_closes_the_line_integral(x0):
+    # int [1/sqrt(s^2+a^2) - 1/sqrt(s^2+b^2)] ds over the line is 2 log(b/a):
+    # trapezoid over the window plus the difference of the two end terms,
+    # for an x0 inside the window and beyond either end (negative w)
+    x, dx = -30.0 + 0.1 * np.arange(600), 0.1
+    w_r, w_l = x[-1] - x0, x0 - x[0]
+    for a, b in ((0.4, 1.0), (1.0, 3.0)):
+        f = 1.0 / np.hypot(x - x0, a) - 1.0 / np.hypot(x - x0, b)
+        total = (f.sum() - 0.5 * (f[0] + f[-1])) * dx
+        total += float(quadrature._end_term(w_r, w_l, a, dx) - quadrature._end_term(w_r, w_l, b, dx))
+        assert abs(total - 2.0 * np.log(b / a)) <= 1e-10  # 1.2e-11 measured at x0 = 0.7
