@@ -87,13 +87,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-_BACKEND_ALIASES = {"line": "line_quadrature", "periodic": "periodic_spectral",
-                    "line_quadrature": "line_quadrature", "periodic_spectral": "periodic_spectral"}
+def _only(d: dict, fields: tuple, prefix: str = ""):
+    """Reject the keys of d that are not in fields, naming each."""
+    extra = [prefix + key for key in d if key not in fields]
+    _expect(not extra, ", ".join(extra), f"unknown; allowed fields: {', '.join(fields)}")
 
 
-def load_config(path: str, n_override: int | None = None, dt_override: float | None = None,
-                backend_override: str | None = None) -> tuple[SimConfig, dict]:
-    """Parse and validate a JSON run config; returns (SimConfig, raw echo)."""
+def load_config(path: str, n_override: int | None = None,
+                dt_override: float | None = None) -> tuple[SimConfig, dict]:
+    """Parse and validate a JSON run config; returns (SimConfig, raw echo).
+
+    Every field changes the run; an unknown one is an error. The grid's
+    periodicity picks the backend.
+    """
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
@@ -102,9 +108,11 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     except json.JSONDecodeError as e:
         raise UsageError(f"config is not valid JSON: {e}") from None
     _expect(isinstance(raw, dict), "<root>", "config must be a JSON object")
+    _only(raw, ("grid", "initial", "t_end", "dt", "output_stride"))
 
     gspec = _get(raw, "grid", "<root>")
     _expect(isinstance(gspec, dict), "grid", "must be an object")
+    _only(gspec, ("n", "length", "x_min", "periodic"), "grid.")
     n_raw = _get(gspec, "n", "grid")
     _expect(isinstance(n_raw, int) and not isinstance(n_raw, bool), "grid.n", "must be an integer")
     n = n_raw if n_override is None else int(n_override)
@@ -120,6 +128,7 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
 
     ispec = _get(raw, "initial", "<root>")
     _expect(isinstance(ispec, dict), "initial", "must be an object")
+    _only(ispec, ("family", "params"), "initial.")
     family = _get(ispec, "family", "initial")
     _expect(family in FAMILIES, "initial.family", f"unknown family {family!r}; options: {sorted(FAMILIES)}")
     params = _get(ispec, "params", "initial", required=False, default={})
@@ -132,34 +141,16 @@ def load_config(path: str, n_override: int | None = None, dt_override: float | N
     except (TypeError, ValueError) as e:
         raise UsageError(f"initial.params: {str(e).replace(f'_{family}()', family)}") from None
 
-    backend_raw = backend_override or _get(raw, "backend", "<root>", required=False,
-                                           default="periodic" if periodic else "line")
-    _expect(backend_raw in _BACKEND_ALIASES, "backend",
-            f"must be one of {sorted(set(_BACKEND_ALIASES))}, got {backend_raw!r}")
-    backend = _BACKEND_ALIASES[backend_raw]
-
-    kspec = _get(raw, "kernel", "<root>", required=False, default={})
-    _expect(isinstance(kspec, dict), "kernel", "must be an object")
-    extra = set(kspec) - {"h"}
-    _expect(not extra, "kernel", f"unknown fields: {sorted(extra)}")
-    h = kspec.get("h")
-    _expect(h is None or _is_number(h), "kernel.h", "must be a positive finite number or null")
-    with _usage("kernel: "):
-        kernel = KernelParams(h=h)
-
     dt = _get(raw, "dt", "<root>", required=False) if dt_override is None else dt_override
     _expect(dt is None or _is_number(dt), "dt", "must be a positive finite number or null")
     t_end = _get(raw, "t_end", "<root>")
     _expect(_is_number(t_end) and t_end > 0, "t_end", "must be a positive finite number")
     stride = _get(raw, "output_stride", "<root>", required=False, default=1)
     _expect(isinstance(stride, int) and not isinstance(stride, bool), "output_stride", "must be an integer")
-    galilean = _get(raw, "galilean_form", "<root>", required=False, default=False)
-    _expect(isinstance(galilean, bool), "galilean_form", "must be true or false")
 
     with _usage():
         cfg = SimConfig(grid=grid, t_end=float(t_end), initial_family=family, initial_params=dict(params),
-                        backend=backend, kernel=kernel, dt=None if dt is None else float(dt),
-                        output_stride=stride, galilean_form=galilean)
+                        dt=None if dt is None else float(dt), output_stride=stride)
     return cfg, raw
 
 
@@ -216,7 +207,7 @@ def _periodic_gaussian(n: int, t_end: float, dt: float | None = None) -> SimConf
     """The symmetry runs: a small gaussian on a 4 pi periodic window."""
     with _usage(f"dt = {dt}, t_end = {t_end}: "):
         return SimConfig(grid=make_grid(-2.0 * math.pi, 4.0 * math.pi, n, periodic=True), t_end=t_end,
-                         backend="periodic_spectral", dt=dt, initial_family="gaussian",
+                         dt=dt, initial_family="gaussian",
                          initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
 
 
@@ -262,7 +253,7 @@ def measure_velocity_routes(n: int, fronts, h: float | None) -> tuple[float, flo
     strip-referenced one and to the line tendency."""
     grid = _line_grid(n)
     p = KernelParams(h=h)
-    cfg = SimConfig(grid=grid, t_end=1.0, backend="line_quadrature", dt=1e-3, kernel=p)
+    cfg = SimConfig(grid=grid, t_end=1.0)
     routes = tendency = 0.0
     for family, params in fronts:
         state = make_state(grid, front_profile(grid.x, family, **params)[0])
@@ -277,7 +268,7 @@ def measure_regrouping(n: int) -> float:
     grid = make_grid(-math.pi, 2.0 * math.pi, n, periodic=True)
     coef = np.random.default_rng(7).standard_normal(8) * 0.02
     state = make_state(grid, sum(c * np.cos((j + 1) * grid.x + j) for j, c in enumerate(coef)))
-    cfg = SimConfig(grid=grid, t_end=1.0, backend="periodic_spectral")
+    cfg = SimConfig(grid=grid, t_end=1.0)
     return float(np.max(np.abs(rhs(state, cfg) - rhs_galilean_form(state, cfg))))
 
 
@@ -323,7 +314,7 @@ def measure_translation_in_phi(n: int) -> float:
     """Sup change of the line tendency when the gaussian front is lifted by 0.75."""
     grid = _line_grid(n)
     phi = front_profile(grid.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)[0]
-    cfg = SimConfig(grid=grid, t_end=1.0, backend="line_quadrature", dt=1e-3)
+    cfg = SimConfig(grid=grid, t_end=1.0)
     return float(np.max(np.abs(rhs(make_state(grid, phi + 0.75), cfg) - rhs(make_state(grid, phi), cfg))))
 
 
@@ -437,10 +428,11 @@ def run_suite(name: str, n: int | None, dt: float | None, scale: float) -> list:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    cfg, raw = load_config(args.config, args.n, args.dt, args.backend)
+    cfg, raw = load_config(args.config, args.n, args.dt)
     out = Path(args.out)
     t0 = time.perf_counter()
-    traj = integrate(cfg)
+    with _usage():  # a dt the grid cannot take
+        traj = integrate(cfg)
     wall = time.perf_counter() - t0
 
     out.mkdir(parents=True, exist_ok=True)
@@ -505,7 +497,7 @@ def measure_dispersion(n: int, xi_list, amplitude: float, t_end: float, dt: floa
 
     phi0 = sum(amplitude * np.cos(xi * grid.x) for xi in predicted)
     with _usage(f"dt = {dt}, t_end = {t_end}: "):
-        traj = integrate(SimConfig(grid=grid, t_end=t_end, backend="periodic_spectral", dt=dt),
+        traj = integrate(SimConfig(grid=grid, t_end=t_end, dt=dt),
                          make_state(grid, np.asarray(phi0)))
     c0 = np.fft.fft(phi0)
     c1 = np.fft.fft(traj.final.phi)
@@ -541,13 +533,13 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_velocity_map(args) -> int:
-    cfg, _ = load_config(args.config, args.n, None, None)
+    cfg, _ = load_config(args.config, args.n)
     if cfg.backend != "line_quadrature":
         raise UsageError("velocity-map needs a line backend config (anchored velocity kernel)")
     xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
 
     state = initial_state(cfg)
-    shift = galilean_shift(state, cfg.kernel)
+    shift = galilean_shift(state)  # the adaptive reference depth
     rows = []
     for x in xs:
         for y in ys:
@@ -613,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default="out", help="output directory")
     ps.add_argument("--n", type=int, default=None, help="override grid.n")
     ps.add_argument("--dt", type=float, default=None, help="override dt")
-    ps.add_argument("--backend", choices=sorted(set(_BACKEND_ALIASES)), default=None)
     ps.set_defaults(fn=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run a verification suite")

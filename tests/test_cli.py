@@ -30,7 +30,7 @@ LINE_CFG = {
 # fields whose JSON type used to be passed on unchecked: a TypeError
 # traceback (exit 1) or a silently misread value
 BAD_TYPES = [
-    ("kernel.h", lambda c: c.update(kernel={"h": "deep"})),
+    ("output_stride", lambda c: c.update(output_stride=True)),
     ("dt", lambda c: c.update(dt=[0.005])),
     ("grid.periodic", lambda c: c["grid"].update(periodic="no")),
     ("t_end", lambda c: c.update(t_end=True)),
@@ -46,9 +46,19 @@ NON_FINITE = [
     ("initial.params.amplitude", math.nan),
     ("initial.params.center", math.inf),
     ("initial.params.width", HUGE),
-    ("kernel.h", math.inf),
     ("dt", math.nan),
     ("t_end", HUGE),
+]
+
+# keys the schema does not have used to be dropped, so the run went ahead on
+# defaults; the first three are settings that could not change the run
+UNKNOWN_KEYS = [
+    ("backend", "line"),
+    ("galilean_form", False),
+    ("kernel", {"h": None}),
+    ("d_t", 0.5),
+    ("grid.periodc", True),
+    ("initial.famly", "gaussian"),
 ]
 
 
@@ -61,9 +71,10 @@ def _setter(field, value):
     return mutate
 
 
-BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE]
+BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE + UNKNOWN_KEYS]
 BAD_FIELD_IDS = ([field for field, _ in BAD_TYPES]
-                 + [f"{field}-{'huge' if value is HUGE else value}" for field, value in NON_FINITE])
+                 + [f"{field}-{'huge' if value is HUGE else value}" for field, value in NON_FINITE]
+                 + [field for field, _ in UNKNOWN_KEYS])
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -102,6 +113,7 @@ def test_load_config_overrides(tmp_path):
         lambda c: c.pop("initial"),
         lambda c: c["initial"].update(family="sawtooth"),
         lambda c: c["initial"]["params"].pop("width"),
+        # backend, kernel and galilean_form are not config fields
         lambda c: c.update(backend="crank_nicolson"),
         lambda c: c.update(kernel={"hh": 1.0}),
         lambda c: c.update(kernel={"h": -2.0}),
@@ -113,7 +125,7 @@ def test_load_config_overrides(tmp_path):
         lambda c: c.update(output_stride=None),
         lambda c: c.update(output_stride=2.7),
         lambda c: c.update(galilean_form="no"),
-        lambda c: c.update(galilean_form=True),  # line backend has no advective grouping
+        lambda c: c.update(galilean_form=True),
     ] + [mutate for _, mutate in BAD_FIELDS],
 )
 def test_load_config_rejects(tmp_path, mutate):
@@ -137,7 +149,9 @@ def test_readme_schema_loads(tmp_path):
     block = re.search(r"### Run config schema\s+```json\n(.*?)```", readme, re.S)
     assert block, "README.md has no run config schema block"
     cfg, raw = load_config(_write_cfg(tmp_path, json.loads(block.group(1))))
-    assert set(raw["kernel"]) == {"h"}
+    # the block shows every field
+    assert set(raw) == {"grid", "initial", "t_end", "dt", "output_stride"}
+    assert set(raw["grid"]) == {"n", "length", "x_min", "periodic"}
     assert cfg.backend == "periodic_spectral" and cfg.grid.n == raw["grid"]["n"]
 
 
@@ -263,6 +277,14 @@ def test_simulate_abort_exit_code(tmp_path):
     assert manifest["aborted"] is True
 
 
+@pytest.mark.parametrize("base, dt", [(LINE_CFG, None), (PERIODIC_CFG, 0.04)], ids=["line-no-dt", "above-cfl"])
+def test_simulate_step_the_grid_cannot_take_exits_2(tmp_path, capsys, base, dt):
+    # both used to end in a ValueError traceback (exit 1)
+    payload = {**base, "dt": dt}
+    assert main(["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "run")]) == 2
+    assert "step" in capsys.readouterr().err
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -286,6 +308,7 @@ def test_dispersion_small_run(tmp_path):
         ["dispersion", "--n", "128", "--xi", "1.5"],
         ["dispersion", "--n", "128", "--amplitude", "0.1"],
         ["dispersion", "--n", "128", "--xi", ""],
+        ["dispersion", "--n", "128", "--xi", "4", "--t-end", "1"],  # phase does not unwrap
     ],
 )
 def test_dispersion_rejects(argv, tmp_path):

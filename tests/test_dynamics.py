@@ -1,5 +1,7 @@
 """Time stepping: tendency assembly, RK4, CFL, invariances, scaling check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ from sqgfronts import (
 )
 from sqgfronts.cli import measure_invariant_drift, measure_scaling_galilean, measure_translation_in_x
 from sqgfronts.dynamics import MAX_SLOPE
+
+
+GAUSSIAN_LINE = {"amplitude": 0.5, "width": 2.0, "center": 0.0}
+
+
+def _line_cfg(n, t_end, dt, **kw):
+    return SimConfig(grid=make_grid(-30.0, 60.0, n), t_end=t_end, dt=dt,
+                     initial_family="gaussian", initial_params=GAUSSIAN_LINE, **kw)
 
 
 def _periodic_cfg(n=256, length=4 * np.pi, amplitude=0.1, width=0.5, t_end=0.25, **kw):
@@ -53,9 +63,9 @@ def test_config_validation():
         SimConfig(grid=g, t_end=1.0, backend="periodic_spectral", cfl_safety=0.0)
     with pytest.raises(ValueError):
         SimConfig(grid=g, t_end=0.5, backend="periodic_spectral", dt=0.6)
-    # the advective grouping needs the multiplier form of the linear term
-    with pytest.raises(ValueError, match="galilean_form.*backend"):
-        SimConfig(grid=gl, t_end=1.0, backend="line_quadrature", dt=1e-3, galilean_form=True)
+    # the grid picks the backend by default
+    assert SimConfig(grid=g, t_end=1.0).backend == "periodic_spectral"
+    assert SimConfig(grid=gl, t_end=1.0).backend == "line_quadrature"
     # family params are only exercised when the state is built
     cfg = SimConfig(grid=g, t_end=1.0, backend="periodic_spectral",
                     initial_family="gaussian", initial_params={"amplitude": 1.0})
@@ -176,36 +186,48 @@ def test_integrate_periodic_caps_dt():
 
 
 def test_integrate_line_needs_dt():
-    g = make_grid(-30.0, 60.0, 600)
-    cfg = SimConfig(grid=g, t_end=0.1, backend="line_quadrature",
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.5, "width": 2.0, "center": 0.0})
     with pytest.raises(ValueError):
-        integrate(cfg)
+        integrate(_line_cfg(600, 0.1, None))
 
 
 def test_integrate_line_smoke():
-    g = make_grid(-30.0, 60.0, 600)
-    cfg = SimConfig(grid=g, t_end=0.01, backend="line_quadrature", dt=0.005,
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.5, "width": 2.0, "center": 0.0})
-    traj = integrate(cfg)
+    traj = integrate(_line_cfg(600, 0.01, 0.005))
     assert not traj.aborted
     assert abs(traj.final.t - 0.01) < 1e-12
     assert len(traj.snapshots) == 3  # stride 1: t = 0, 0.005, 0.01
 
 
 def test_line_diagnostics_record_the_flat_tail_assumption():
-    g = make_grid(-30.0, 60.0, 256)
-    cfg = SimConfig(grid=g, t_end=0.01, backend="line_quadrature", dt=0.005,
-                    initial_family="gaussian",
-                    initial_params={"amplitude": 0.5, "width": 2.0, "center": 0.0})
-    traj = integrate(cfg)
+    traj = integrate(_line_cfg(256, 0.01, 0.005))
     for d, snap in zip(traj.diagnostics, traj.snapshots):
         assert d["support_defect"] == support_defect(snap)
         assert d["edge_asymmetry"] == abs(float(snap.phi[0]) - float(snap.phi[-1]))
+        assert "max_background" not in d  # the audit is off by default
     # the periodic backend has no window ends
     assert "support_defect" not in integrate(_periodic_cfg(t_end=0.05)).diagnostics[0]
+
+
+def test_background_audit_stays_at_zero():
+    # the background integral vanishes identically; the audit takes the adaptive depth
+    traj = integrate(_line_cfg(256, 0.01, 0.005, audit_background=True))
+    assert len(traj.diagnostics) == 3
+    for d in traj.diagnostics:
+        assert d["max_background"] <= 1e-8
+
+
+@pytest.mark.parametrize("cfg", [
+    _line_cfg(64, 0.1, 3e-3),  # 34 steps, the last a third of dt
+    _periodic_cfg(n=128, t_end=0.3),  # at the CFL step
+], ids=["line", "periodic"])
+def test_integrate_ends_on_t_end(cfg):
+    # the horizon is hit exactly, not one rounding of k * dt short or past it
+    assert integrate(cfg).final.t == cfg.t_end
+
+
+def test_integrate_starts_at_zero():
+    cfg = _periodic_cfg(n=64, t_end=0.05)
+    with pytest.raises(ValueError, match="t = 0"):
+        integrate(cfg, replace(initial_state(cfg), t=0.01))
 
 
 def test_integrate_stride_and_landing():
@@ -282,9 +304,6 @@ def test_l2_drift_refines_with_n():
     assert fine * 16.0 <= coarse
 
 
-def test_galilean_form_integration_matches():
-    cfg_a = _periodic_cfg(n=128, t_end=0.05)
-    cfg_b = _periodic_cfg(n=128, t_end=0.05, galilean_form=True)
-    a = integrate(cfg_a)
-    b = integrate(cfg_b)
-    assert np.max(np.abs(a.final.phi - b.final.phi)) < 1e-8
+def test_scaling_check_is_periodic_only():
+    with pytest.raises(ValueError, match="line_quadrature"):
+        scaling_galilean_check(_line_cfg(64, 0.01, 0.005), 2.0)

@@ -176,6 +176,13 @@ def test_box_too_small_rejected():
         box_riesz_crosscheck(st, BoxSpec(size=4.0, n=64), KernelParams(h=1.0))
 
 
+def test_box_probe_inside_strip_rejected():
+    # y = 0.2 lies between the reference depth -1 and the crest 0.5
+    st = _state(n=1024)
+    with pytest.raises(ValueError, match="inside or too close to the strip"):
+        box_riesz_crosscheck(st, BoxSpec(size=80.0, n=1024, probe_y=(0.2,)), KernelParams(h=1.0))
+
+
 def _velocity_at_scalar_tails(st, x, y, sh):
     # velocity_at as first written: one scalar log tail per window end and
     # per kernel, explicit trapezoid weights
