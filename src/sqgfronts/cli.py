@@ -446,7 +446,7 @@ def cmd_simulate(args) -> int:
         files.append(name)
     write_manifest(out / "manifest.json", {
         "command": "simulate", "version": __version__, "config": raw,
-        "wall_time_s": wall, "aborted": traj.aborted, "snapshots": files,
+        "wall_time_s": wall, "dt": traj.dt, "steps": traj.steps, "aborted": traj.aborted, "snapshots": files,
         "diagnostics": list(traj.diagnostics),
     })
     print(f"wrote {len(files)} snapshots to {out} ({wall:.2f} s)"

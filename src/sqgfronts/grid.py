@@ -159,9 +159,10 @@ class SpectralWorkspace:
     """Precomputed wavenumbers and dispersive multiplier.
 
     The evolution's linear operator acts in Fourier space as multiplication
-    by ``m(xi) = 2i xi log|xi|`` with ``m(0) = 0``. The Nyquist entry is
-    zeroed as well: the multiplier is odd, and an unpaired Nyquist mode would
-    otherwise break the reality of the output.
+    by ``m(xi) = 2i xi log|xi|`` with ``m(0) = 0``, plus the advection
+    ``2 (gamma - log 2) d/dx``. The Nyquist entry is zeroed as well: the
+    multiplier is odd, and an unpaired Nyquist mode would otherwise break
+    the reality of the output.
 
     Attributes
     ----------
@@ -169,13 +170,18 @@ class SpectralWorkspace:
         Physical wavenumbers 2*pi*fftfreq(n, dx), numpy FFT ordering.
     symbol : ndarray (complex)
         Tabulated m(xi).
+    rate : ndarray (complex)
+        The whole linear symbol ``2i xi (log|xi| + gamma - log 2)`` on the
+        rfft half-spectrum (n // 2 + 1 entries, Nyquist zeroed): the growth
+        rate of each mode of the linearized evolution.
     """
 
     xi: np.ndarray
     symbol: np.ndarray
+    rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("xi", "symbol"):
+        for name in ("xi", "symbol", "rate"):
             arr = getattr(self, name)
             object.__setattr__(self, name, np.asarray(arr))
 
@@ -189,7 +195,12 @@ def build_workspace(grid: LineGrid) -> SpectralWorkspace:
         symbol = 2.0j * xi * np.log(np.abs(xi))
     symbol[0] = 0.0
     symbol[grid.n // 2] = 0.0  # unpaired Nyquist mode, see class docstring
-    return SpectralWorkspace(xi=xi, symbol=symbol)
+    # the first n // 2 + 1 entries of the full-spectrum symbol are the rfft
+    # modes 0 .. n/2, the last of them the zeroed Nyquist entry
+    half = slice(0, grid.n // 2 + 1)
+    rate = symbol[half] + TWO_GAMMA_MINUS_LOG4 * 1.0j * xi[half]
+    rate[-1] = 0.0
+    return SpectralWorkspace(xi=xi, symbol=symbol, rate=rate)
 
 
 def apply_linear_multiplier(state: FrontState, workspace: SpectralWorkspace) -> np.ndarray:

@@ -161,7 +161,7 @@ def test_criterion_08_scaling_galilean_symmetry():
     wall = time.perf_counter() - t0
     ok = mism[1024] <= 1e-3 and mism[1024] < mism[512]
     _report(8, "scaling-Galilean symmetry holds", ok,
-            f"mismatch = {mism[1024]:.3e} <= 1e-03 at n = 1024 (CFL step, k = 2 and 1/2), "
+            f"mismatch = {mism[1024]:.3e} <= 1e-03 at n = 1024 (automatic step, k = 2 and 1/2), "
             f"refines from {mism[512]:.3e} at n = 512; {wall:.0f} s")
 
 
@@ -170,7 +170,8 @@ def test_criterion_09_conservation_and_orders():
     drift, _ = measure_invariant_drift(256, t_end=0.5)
 
     # (b) RK4 order by dt halving against a fine reference; two modes, so
-    # the finest error (about 1e-9) sits far above the rounding floor
+    # the finest error (about 4e-13 under the integrating factor) sits above
+    # the rounding floor
     g2 = make_grid(-math.pi, 2.0 * math.pi, 128, periodic=True)
     st0 = make_state(g2, 0.1 * np.cos(3.0 * g2.x) + 0.05 * np.sin(8.0 * g2.x))
     base = SimConfig(grid=g2, t_end=0.2, backend="periodic_spectral", dt=1e-4)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sqgfronts import cfl_timestep, initial_state
 from sqgfronts.cli import SUITES, UsageError, _decay_ratio, _fmt, load_config, main, run_suite, write_csv
 
 PERIODIC_CFG = {
@@ -277,12 +278,29 @@ def test_simulate_abort_exit_code(tmp_path):
     assert manifest["aborted"] is True
 
 
-@pytest.mark.parametrize("base, dt", [(LINE_CFG, None), (PERIODIC_CFG, 0.04)], ids=["line-no-dt", "above-cfl"])
+# the periodic front of amplitude 0.5 has a stability step of 0.023; run to
+# t = 1 at dt = 0.04 it blows up, and the slope threshold then blamed the front
+STEEP_PERIODIC_CFG = {**PERIODIC_CFG, "initial": {"family": "gaussian",
+                                                  "params": {"amplitude": 0.5, "width": 0.5, "center": 0.0}}}
+
+
+@pytest.mark.parametrize("base, dt", [(LINE_CFG, None), (STEEP_PERIODIC_CFG, 0.04)], ids=["line-no-dt", "above-cfl"])
 def test_simulate_step_the_grid_cannot_take_exits_2(tmp_path, capsys, base, dt):
     # both used to end in a ValueError traceback (exit 1)
     payload = {**base, "dt": dt}
     assert main(["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "run")]) == 2
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, dt, steps", [(LINE_CFG, 0.005, 2), (PERIODIC_CFG, None, 3)], ids=["line", "periodic"])
+def test_simulate_manifest_records_the_step(tmp_path, base, dt, steps):
+    path = _write_cfg(tmp_path, base)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    if dt is None:  # the automatic step of the start state
+        cfg, _ = load_config(path)
+        dt = cfl_timestep(initial_state(cfg), cfg)
+    assert (manifest["dt"], manifest["steps"]) == (dt, steps)
 
 
 def test_simulate_missing_config(tmp_path):
@@ -298,6 +316,16 @@ def test_dispersion_small_run(tmp_path):
     body = (out / "dispersion.csv").read_text().splitlines()
     assert body[0] == "xi,omega_predicted,omega_measured,speed_predicted,speed_measured,rel_error"
     assert len(body) == 3
+
+
+def test_dispersion_takes_a_step_past_the_linear_cfl_step(tmp_path):
+    # dt = 0.01 is twice the linear CFL step 0.0049 at n = 64 and was refused;
+    # the integrating factor propagates the linear modes exactly, and the
+    # phase speeds read 9.0e-8 from the prediction, as at the automatic step
+    out = tmp_path / "disp"
+    assert main(["dispersion", "--n", "64", "--dt", "0.01", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"][0]["measured"] < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -325,9 +353,8 @@ BAD_FLAGS = [
     (["symmetry", "--n", "255"], "--n"),
     (["verify", "--suite", "symmetry", "--dt", "-1"], "--dt"),
     (["verify", "--suite", "symmetry", "--dt", "1", "--n", "64"], "dt = 1.0"),  # dt > t_end
-    (["verify", "--suite", "symmetry", "--dt", "0.1", "--n", "64"], "dt = 0.1"),  # above the CFL step
+    (["verify", "--suite", "symmetry", "--dt", "0.1", "--n", "1024"], "dt = 0.1"),  # above the stability step 0.071
     (["dispersion", "--dt", "1"], "dt = 1.0"),
-    (["dispersion", "--n", "64", "--dt", "0.01"], "dt = 0.01"),
     (["symmetry", "--t-end", "-1"], "--t-end"),
     (["symmetry", "--k", "nan"], "--k"),
     (["symmetry", "--k", "two"], "--k"),
@@ -376,7 +403,7 @@ def test_symmetry_identity(tmp_path):
 
 
 def test_symmetry_coarse_grid_fails_checks_not_usage():
-    # at n = 8 the CFL step exceeds t_end / k; each run is cut to the horizon
+    # at n = 8 the automatic step exceeds t_end / k; each run is cut to the horizon
     # and the unresolved grid fails its checks (exit 1) instead of exit 2
     assert main(["verify", "--suite", "symmetry", "--n", "8"]) == 1
     assert main(["symmetry", "--n", "8", "--k", "3"]) == 1
