@@ -3,11 +3,12 @@
 Subcommands
 -----------
 simulate      run a config to t_end, write one CSV per snapshot + manifest
-verify        run a named check suite (identities, equivalence, farfield,
-              qg, symmetry) at documented default resolutions
-dispersion    measured vs predicted phase velocity of small modes
+verify        run named check suites (identities, equivalence, farfield,
+              qg, symmetry, dispersion) at documented default resolutions
 velocity-map  sample (u, v) on a probe grid for far-field plots
-symmetry      scaling-Galilean mismatch for chosen k values
+
+The run config is the only place that sets a run, so the manifest's echo of
+it is the run; `verify` is the only command that runs checks.
 
 Each verification check is measured once, by a `measure_*` function that
 takes its grid size, fronts, depths and probes as arguments. The `verify`
@@ -93,8 +94,7 @@ def _only(d: dict, fields: tuple, prefix: str = ""):
     _expect(not extra, ", ".join(extra), f"unknown; allowed fields: {', '.join(fields)}")
 
 
-def load_config(path: str, n_override: int | None = None,
-                dt_override: float | None = None) -> tuple[SimConfig, dict]:
+def load_config(path: str) -> tuple[SimConfig, dict]:
     """Parse and validate a JSON run config; returns (SimConfig, raw echo).
 
     Every field changes the run; an unknown one is an error. The grid's
@@ -113,9 +113,8 @@ def load_config(path: str, n_override: int | None = None,
     gspec = _get(raw, "grid", "<root>")
     _expect(isinstance(gspec, dict), "grid", "must be an object")
     _only(gspec, ("n", "length", "x_min", "periodic"), "grid.")
-    n_raw = _get(gspec, "n", "grid")
-    _expect(isinstance(n_raw, int) and not isinstance(n_raw, bool), "grid.n", "must be an integer")
-    n = n_raw if n_override is None else int(n_override)
+    n = _get(gspec, "n", "grid")
+    _expect(isinstance(n, int) and not isinstance(n, bool), "grid.n", "must be an integer")
     length = _get(gspec, "length", "grid")
     _expect(_is_number(length) and length > 0, "grid.length", "must be a positive finite number")
     x_min = _get(gspec, "x_min", "grid", required=False, default=-0.5 * float(length))
@@ -141,7 +140,7 @@ def load_config(path: str, n_override: int | None = None,
     except (TypeError, ValueError) as e:
         raise UsageError(f"initial.params: {str(e).replace(f'_{family}()', family)}") from None
 
-    dt = _get(raw, "dt", "<root>", required=False) if dt_override is None else dt_override
+    dt = _get(raw, "dt", "<root>", required=False)
     _expect(dt is None or _is_number(dt), "dt", "must be a positive finite number or null")
     t_end = _get(raw, "t_end", "<root>")
     _expect(_is_number(t_end) and t_end > 0, "t_end", "must be a positive finite number")
@@ -174,12 +173,11 @@ def write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _record(items, start: float | None = None) -> list:
+def _record(items) -> list:
     """Check records from (name, measured, tolerance) items. Each books the
-    wall time since the one before (or since `start`, default now): a lazily
-    measured item is timed on its own, a measurement feeding several checks on
-    the first of them."""
-    checks, t = [], time.perf_counter() if start is None else start
+    wall time since the one before: a lazily measured item is timed on its
+    own, a measurement feeding several checks on the first of them."""
+    checks, t = [], time.perf_counter()
     for name, measured, tolerance in items:
         now = time.perf_counter()
         checks.append({"name": name, "measured": float(measured), "tolerance": float(tolerance),
@@ -326,12 +324,37 @@ def measure_translation_in_x(n: int) -> float:
     return float(np.max(np.abs(np.roll(rhs(state, cfg), 5) - rhs(rolled, cfg))))
 
 
-def measure_invariant_drift(n: int, t_end: float = 0.5) -> tuple[float, float]:
-    """Drifts per unit time of the two invariants over one symmetry run: the
-    front mean, and int phi^2 relative to its initial value."""
-    traj = integrate(_periodic_gaussian(n, t_end))
+def invariant_drift(traj) -> tuple[float, float | None]:
+    """Drifts per unit time of the two invariants over a run: the front mean,
+    and int phi^2 relative to its initial value (None from a flat front)."""
     first, last, t = traj.diagnostics[0], traj.diagnostics[-1], traj.final.t
-    return abs(last["mean"] - first["mean"]) / t, abs((last["l2"] / first["l2"]) ** 2 - 1.0) / t
+    l2 = abs((last["l2"] / first["l2"]) ** 2 - 1.0) / t if first["l2"] > 0.0 else None
+    return abs(last["mean"] - first["mean"]) / t, l2
+
+
+def measure_invariant_drift(n: int, t_end: float = 0.5) -> tuple[float, float]:
+    """Invariant drifts per unit time over one symmetry run."""
+    return invariant_drift(integrate(_periodic_gaussian(n, t_end)))
+
+
+def measure_dispersion(n: int, modes, amplitude: float, t_end: float, dt: float | None = None) -> list:
+    """Relative phase-speed errors of small superposed cosine modes (integer
+    xi) on a 2 pi periodic grid, one per mode, against the linear frequency."""
+    for xi in modes:
+        if xi > n // 3:
+            raise UsageError(f"xi = {xi} unresolved at n = {n} (needs xi <= n/3)")
+    grid = make_grid(-math.pi, 2.0 * math.pi, n, periodic=True)
+    phi0 = sum(amplitude * np.cos(xi * grid.x) for xi in modes)
+    with _usage(f"dt = {dt}, t_end = {t_end}: "):
+        traj = integrate(SimConfig(grid=grid, t_end=t_end, dt=dt), make_state(grid, np.asarray(phi0)))
+    c0, c1 = np.fft.fft(phi0), np.fft.fft(traj.final.phi)
+    errors = []
+    for xi in modes:
+        # linearized wave frequency: phi_t = 2 i xi (log xi + gamma - log 2) phi_hat
+        omega = -TWO_GAMMA_MINUS_LOG4 * xi - 2.0 * xi * math.log(xi)
+        measured = -float(np.angle(c1[xi] * np.conj(c0[xi]))) / float(traj.final.t)
+        errors.append(abs(measured - omega) / abs(omega))
+    return errors
 
 
 def _decay_ratio(*errors) -> float:
@@ -405,13 +428,23 @@ def _suite_symmetry(n, dt, scale):
     yield "l2_conservation_per_unit_time", l2_drift, 1e-6 * scale
 
 
-# name: (suite, default n); qg has no grid and only symmetry takes a step
+_DISPERSION_MODES = (1, 2, 4)
+
+
+def _suite_dispersion(n, dt, scale):
+    errors = measure_dispersion(n, _DISPERSION_MODES, 1e-4, 0.05, dt)
+    for xi, error in zip(_DISPERSION_MODES, errors):
+        yield f"dispersion_rel_error_xi{xi}", error, 1e-4 * scale
+
+
+# name: (suite, default n); qg has no grid, and symmetry and dispersion step
 _SUITES = {
     "identities": (_suite_identities, 512),
     "equivalence": (_suite_equivalence, 512),
     "farfield": (_suite_farfield, 512),
     "qg": (_suite_qg, None),
     "symmetry": (_suite_symmetry, 256),
+    "dispersion": (_suite_dispersion, 512),
 }
 SUITES = tuple(_SUITES)
 
@@ -428,12 +461,13 @@ def run_suite(name: str, n: int | None, dt: float | None, scale: float) -> list:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    cfg, raw = load_config(args.config, args.n, args.dt)
+    cfg, raw = load_config(args.config)
     out = Path(args.out)
     t0 = time.perf_counter()
-    with _usage():  # a dt the grid cannot take
+    with _usage():  # a dt the grid cannot take, a line front that leaks
         traj = integrate(cfg)
     wall = time.perf_counter() - t0
+    mean_drift, l2_drift = invariant_drift(traj)
 
     out.mkdir(parents=True, exist_ok=True)
     ws = build_workspace(cfg.grid) if cfg.backend == "periodic_spectral" else None
@@ -447,7 +481,7 @@ def cmd_simulate(args) -> int:
     write_manifest(out / "manifest.json", {
         "command": "simulate", "version": __version__, "config": raw,
         "wall_time_s": wall, "dt": traj.dt, "steps": traj.steps, "aborted": traj.aborted, "snapshots": files,
-        "diagnostics": list(traj.diagnostics),
+        "drift_per_unit_time": {"mean": mean_drift, "l2": l2_drift}, "diagnostics": list(traj.diagnostics),
     })
     print(f"wrote {len(files)} snapshots to {out} ({wall:.2f} s)"
           + (" [ABORTED on slope threshold]" if traj.aborted else ""))
@@ -478,62 +512,8 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def measure_dispersion(n: int, xi_list, amplitude: float, t_end: float, dt: float | None):
-    """Phase-velocity table for small superposed modes on a 2 pi periodic grid."""
-    grid = make_grid(-math.pi, 2.0 * math.pi, n, periodic=True)
-    rows = []
-    predicted = {}
-    for xi in xi_list:
-        if xi != int(xi) or int(xi) < 1:
-            raise UsageError(f"xi must be a positive integer on the 2 pi grid, got {xi}")
-        xi = int(xi)
-        if xi > n // 3:
-            raise UsageError(f"xi = {xi} unresolved at n = {n} (needs xi <= n/3)")
-        # linearized wave frequency: phi_t = 2 i xi (log xi + gamma - log 2) phi_hat
-        omega = -TWO_GAMMA_MINUS_LOG4 * xi - 2.0 * xi * math.log(xi)
-        if abs(omega) * t_end > 3.0:
-            raise UsageError(f"t_end too long to unwrap the phase at xi = {xi}; reduce --t-end")
-        predicted[xi] = omega
-
-    phi0 = sum(amplitude * np.cos(xi * grid.x) for xi in predicted)
-    with _usage(f"dt = {dt}, t_end = {t_end}: "):
-        traj = integrate(SimConfig(grid=grid, t_end=t_end, dt=dt),
-                         make_state(grid, np.asarray(phi0)))
-    c0 = np.fft.fft(phi0)
-    c1 = np.fft.fft(traj.final.phi)
-    for xi, omega in predicted.items():
-        phase = float(np.angle(c1[xi] * np.conj(c0[xi])))
-        measured = -phase / float(traj.final.t)
-        rel = abs(measured - omega) / abs(omega)
-        rows.append((xi, float(omega), float(measured), float(omega / xi), float(measured / xi), float(rel)))
-    return rows
-
-
-def cmd_dispersion(args) -> int:
-    xi_list = _numbers(args.xi, "--xi")
-    if not (0.0 < args.amplitude <= 1e-3):
-        raise UsageError("amplitude must be in (0, 1e-3] to stay in the linear regime")
-    n = 512 if args.n is None else args.n
-    t0 = time.perf_counter()
-    rows = measure_dispersion(n, xi_list, args.amplitude, args.t_end, args.dt)
-    checks = _record([("dispersion_rel_error", max(r[5] for r in rows), 1e-4 * args.tolerance_scale)], t0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "dispersion.csv",
-              ["xi", "omega_predicted", "omega_measured", "speed_predicted", "speed_measured", "rel_error"],
-              rows)
-    write_manifest(out / "manifest.json", {
-        "command": "dispersion", "version": __version__,
-        "n": n, "amplitude": args.amplitude, "t_end": args.t_end,
-        "wall_time_s": checks[0]["wall_s"], "checks": checks, "passed": checks[0]["passed"],
-    })
-    for r in rows:
-        print(f"  xi {r[0]:>3}  predicted {r[1]:+.6f}  measured {r[2]:+.6f}  rel {r[5]:.2e}")
-    return 0 if checks[0]["passed"] else 1
-
-
 def cmd_velocity_map(args) -> int:
-    cfg, _ = load_config(args.config, args.n)
+    cfg, _ = load_config(args.config)
     if cfg.backend != "line_quadrature":
         raise UsageError("velocity-map needs a line backend config (anchored velocity kernel)")
     xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
@@ -553,27 +533,6 @@ def cmd_velocity_map(args) -> int:
     return 0
 
 
-def cmd_symmetry(args) -> int:
-    ks = [_positive(k, "--k") for k in _numbers(args.k, "--k")]
-    n = 256 if args.n is None else args.n
-    checks = _record((f"scaling_galilean_k_{k}", measure_scaling_galilean(n, k, args.t_end, args.dt),
-                      1e-3 * args.tolerance_scale) for k in ks)
-    _print_checks(checks)
-    passed = all(c["passed"] for c in checks)
-    if args.out:
-        write_manifest(Path(args.out) / "manifest.json", {
-            "command": "symmetry", "version": __version__, "n": n, "t_end": args.t_end,
-            "wall_time_s": sum(c["wall_s"] for c in checks), "checks": checks, "passed": passed,
-        })
-    return 0 if passed else 1
-
-
-def _positive(value, flag: str):
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise UsageError(f"{flag} must be a positive finite number, got {value}")
-    return value
-
-
 def _numbers(text: str, flag: str) -> list:
     """A nonempty comma list of numbers."""
     with _usage(f"{flag}: "):
@@ -584,12 +543,14 @@ def _numbers(text: str, flag: str) -> list:
 
 
 def _check_flags(args) -> None:
-    """--n even and >= 8; --dt, --t-end, --tolerance-scale finite and > 0."""
+    """--n even and >= 8; --dt, --tolerance-scale finite and > 0."""
     n = getattr(args, "n", None)
     if n is not None and (n < 8 or n % 2):
         raise UsageError(f"--n must be an even integer >= 8, got {n}")
-    for dest in ("dt", "t_end", "tolerance_scale"):
-        _positive(getattr(args, dest, None), "--" + dest.replace("_", "-"))
+    for dest in ("dt", "tolerance_scale"):
+        value = getattr(args, dest, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"--{dest.replace('_', '-')} must be a positive finite number, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a config and write snapshots")
     ps.add_argument("--config", required=True, help="JSON run config")
     ps.add_argument("--out", default="out", help="output directory")
-    ps.add_argument("--n", type=int, default=None, help="override grid.n")
-    ps.add_argument("--dt", type=float, default=None, help="override dt")
     ps.set_defaults(fn=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -615,32 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tolerance-scale", type=float, default=1.0)
     pv.set_defaults(fn=cmd_verify)
 
-    pd = sub.add_parser("dispersion", help="measured vs predicted phase velocity")
-    pd.add_argument("--xi", default="1,2,4", help="comma list of mode numbers")
-    pd.add_argument("--amplitude", type=float, default=1e-4)
-    pd.add_argument("--t-end", type=float, default=0.05)
-    pd.add_argument("--n", type=int, default=None)
-    pd.add_argument("--dt", type=float, default=None)
-    pd.add_argument("--out", default="out")
-    pd.add_argument("--tolerance-scale", type=float, default=1.0)
-    pd.set_defaults(fn=cmd_dispersion)
-
     pm = sub.add_parser("velocity-map", help="sample the velocity on a probe grid")
     pm.add_argument("--config", required=True)
     pm.add_argument("--probe-x", default="0.0")
     pm.add_argument("--probe-y", default="-1000.0,-100.0,-10.0,10.0,100.0,1000.0")
-    pm.add_argument("--n", type=int, default=None)
     pm.add_argument("--out", default="out")
     pm.set_defaults(fn=cmd_velocity_map)
 
-    py = sub.add_parser("symmetry", help="scaling-Galilean mismatch")
-    py.add_argument("--k", default="0.5,2")
-    py.add_argument("--t-end", type=float, default=0.25)
-    py.add_argument("--n", type=int, default=None)
-    py.add_argument("--dt", type=float, default=None)
-    py.add_argument("--out", default=None)
-    py.add_argument("--tolerance-scale", type=float, default=1.0)
-    py.set_defaults(fn=cmd_symmetry)
     return ap
 
 

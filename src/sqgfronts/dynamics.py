@@ -47,6 +47,7 @@ from .grid import (
     make_state,
     spectral_derivative,
     support_defect,
+    validate_line_support,
 )
 from .quadrature import (
     _by_offset,
@@ -321,7 +322,8 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
 
     Every step is dt but the last, which ends on t_end exactly. A slope
     beyond the graph-assumption threshold stops the run cleanly and returns
-    the partial trajectory with aborted=True.
+    the partial trajectory with aborted=True. A line start state must be flat
+    outside the middle half of its grid (`validate_line_support`).
     """
     if state is None:
         state = initial_state(cfg)
@@ -329,6 +331,8 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
         raise ValueError("state grid does not match cfg.grid")
     elif state.t != 0.0:
         raise ValueError(f"integrate starts at t = 0, got a state at t = {state.t}")
+    if cfg.backend == "line_quadrature":
+        validate_line_support(state)  # the precondition of the line tails
 
     ws = build_workspace(cfg.grid) if cfg.backend == "periodic_spectral" else None
     if cfg.dt is not None:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,19 @@ import numpy as np
 import pytest
 
 from sqgfronts import cfl_timestep, initial_state
-from sqgfronts.cli import SUITES, UsageError, _decay_ratio, _fmt, load_config, main, run_suite, write_csv
+from sqgfronts.cli import (
+    SUITES,
+    UsageError,
+    _decay_ratio,
+    _fmt,
+    build_parser,
+    load_config,
+    main,
+    measure_invariant_drift,
+    measure_scaling_galilean,
+    run_suite,
+    write_csv,
+)
 
 PERIODIC_CFG = {
     "grid": {"n": 256, "length": 4 * np.pi, "x_min": -2 * np.pi, "periodic": True},
@@ -95,13 +108,6 @@ def test_load_config_roundtrip(tmp_path):
     cfg2, _ = load_config(_write_cfg(tmp_path, PERIODIC_CFG, "p.json"))
     assert cfg2.backend == "periodic_spectral"
     assert cfg2.dt is None and cfg2.output_stride == 20
-
-
-def test_load_config_overrides(tmp_path):
-    path = _write_cfg(tmp_path, LINE_CFG)
-    cfg, _ = load_config(path, n_override=1200, dt_override=0.001)
-    assert cfg.grid.n == 1200
-    assert cfg.dt == 0.001
 
 
 @pytest.mark.parametrize(
@@ -193,7 +199,7 @@ def test_write_csv_deterministic(tmp_path):
 def test_run_suite_unknown():
     with pytest.raises(UsageError):
         run_suite("spectra", None, None, 1.0)
-    assert SUITES == ("identities", "equivalence", "farfield", "qg", "symmetry")
+    assert SUITES == ("identities", "equivalence", "farfield", "qg", "symmetry", "dispersion")
 
 
 # ordered check names of each suite: the verify manifest contract and the
@@ -209,12 +215,13 @@ SUITE_CHECKS = {
            "boundary_trace", "boundary_velocity_2logy"],
     "symmetry": ["scaling_galilean_k_2.0", "scaling_galilean_k_0.5", "translation_in_phi",
                  "translation_in_x", "mean_conservation_per_unit_time", "l2_conservation_per_unit_time"],
+    "dispersion": ["dispersion_rel_error_xi1", "dispersion_rel_error_xi2", "dispersion_rel_error_xi4"],
 }
 
 
 # symmetry at its default n = 256 takes seconds; at n = 64 the mean drift
 # reads 7.2e-9 against its 1e-8 bound, too close to use
-@pytest.mark.parametrize("name, n", [(name, 128 if name == "symmetry" else None) for name in SUITES])
+@pytest.mark.parametrize("name, n", [(name, 128 if name in ("symmetry", "dispersion") else None) for name in SUITES])
 def test_run_suite_passes_with_pinned_check_names(name, n):
     checks = run_suite(name, n, None, 1.0)
     assert [c["name"] for c in checks] == SUITE_CHECKS[name]
@@ -303,19 +310,34 @@ def test_simulate_manifest_records_the_step(tmp_path, base, dt, steps):
     assert (manifest["dt"], manifest["steps"]) == (dt, steps)
 
 
+@pytest.mark.parametrize("base, family", [(PERIODIC_CFG, "gaussian"), (LINE_CFG, "gaussian"), (PERIODIC_CFG, "zero")],
+                         ids=["periodic", "line", "flat"])
+def test_simulate_manifest_records_invariant_drift(tmp_path, base, family):
+    params = base["initial"]["params"] if family == "gaussian" else {}
+    path = _write_cfg(tmp_path, {**base, "initial": {"family": family, "params": params}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    drift = json.loads((tmp_path / "run" / "manifest.json").read_text())["drift_per_unit_time"]
+    assert set(drift) == {"mean", "l2"}
+    if family == "zero":  # no int phi^2 to measure a relative drift against
+        assert drift == {"mean": 0.0, "l2": None}
+    elif base is PERIODIC_CFG:
+        # the symmetry suite's run: the same front, grid and horizon
+        assert (drift["mean"], drift["l2"]) == measure_invariant_drift(256, t_end=0.05)
+    else:
+        assert all(math.isfinite(v) for v in drift.values())
+
+
+def test_simulate_refuses_a_line_front_that_leaks(tmp_path, capsys):
+    # support 20 reaches past the middle half [-15, 15) of [-30, 30), where
+    # the line tails assume the front is flat
+    leaky = {**LINE_CFG, "initial": {"family": "windowed_cosine",
+                                     "params": {"amplitude": 0.1, "mode": 1.0, "plateau": 10.0, "support": 20.0}}}
+    assert main(["simulate", "--config", _write_cfg(tmp_path, leaky), "--out", str(tmp_path / "run")]) == 2
+    assert "defect" in capsys.readouterr().err
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
-
-
-def test_dispersion_small_run(tmp_path):
-    out = tmp_path / "disp"
-    code = main(["dispersion", "--n", "128", "--xi", "1,2", "--out", str(out)])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["passed"] is True
-    body = (out / "dispersion.csv").read_text().splitlines()
-    assert body[0] == "xi,omega_predicted,omega_measured,speed_predicted,speed_measured,rel_error"
-    assert len(body) == 3
 
 
 def test_dispersion_takes_a_step_past_the_linear_cfl_step(tmp_path):
@@ -323,42 +345,27 @@ def test_dispersion_takes_a_step_past_the_linear_cfl_step(tmp_path):
     # the integrating factor propagates the linear modes exactly, and the
     # phase speeds read 9.0e-8 from the prediction, as at the automatic step
     out = tmp_path / "disp"
-    assert main(["dispersion", "--n", "64", "--dt", "0.01", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "dispersion", "--n", "64", "--dt", "0.01", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["checks"][0]["measured"] < 1e-6
+    assert all(c["measured"] < 1e-6 for c in manifest["checks"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["dispersion", "--n", "128", "--xi", "0"],
-        ["dispersion", "--n", "64", "--xi", "40"],  # unresolved mode
-        ["dispersion", "--n", "128", "--xi", "1.5"],
-        ["dispersion", "--n", "128", "--amplitude", "0.1"],
-        ["dispersion", "--n", "128", "--xi", ""],
-        ["dispersion", "--n", "128", "--xi", "4", "--t-end", "1"],  # phase does not unwrap
-    ],
-)
-def test_dispersion_rejects(argv, tmp_path):
-    assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+def test_dispersion_suite_refuses_an_unresolved_mode(capsys):
+    # the suite's modes are 1, 2 and 4; at n = 8 only xi <= 2 is resolved
+    assert main(["verify", "--suite", "dispersion", "--n", "8"]) == 2
+    assert "xi = 4" in capsys.readouterr().err
 
 
 # numeric flags that used to run a default, print FAIL everywhere or die with
 # a ValueError traceback (exit 1); the second entry must appear in the message
 BAD_FLAGS = [
     (["verify", "--n", "0"], "--n"),
-    (["dispersion", "--n", "0"], "--n"),
     (["verify", "--n", "255"], "--n"),
     (["verify", "--suite", "identities", "--n", "8"], "n = 8"),  # probes within one spacing of the front
-    (["symmetry", "--n", "255"], "--n"),
     (["verify", "--suite", "symmetry", "--dt", "-1"], "--dt"),
     (["verify", "--suite", "symmetry", "--dt", "1", "--n", "64"], "dt = 1.0"),  # dt > t_end
     (["verify", "--suite", "symmetry", "--dt", "0.1", "--n", "1024"], "dt = 0.1"),  # above the stability step 0.071
-    (["dispersion", "--dt", "1"], "dt = 1.0"),
-    (["symmetry", "--t-end", "-1"], "--t-end"),
-    (["symmetry", "--k", "nan"], "--k"),
-    (["symmetry", "--k", "two"], "--k"),
-    (["dispersion", "--xi", "1,x"], "--xi"),
+    (["verify", "--suite", "dispersion", "--dt", "1"], "dt = 1.0"),  # dt > t_end
     (["verify", "--tolerance-scale", "-1"], "--tolerance-scale"),
     (["verify", "--tolerance-scale", "nan"], "--tolerance-scale"),
 ]
@@ -393,26 +400,56 @@ def test_velocity_map_probe_on_front(tmp_path):
     assert code == 2  # singular probe reported as a usage error
 
 
-def test_symmetry_identity(tmp_path):
-    out = tmp_path / "sym"
-    code = main(["symmetry", "--k", "1.0", "--n", "64", "--t-end", "0.1",
-                 "--out", str(out)])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["passed"] is True
+def test_symmetry_identity():
+    assert measure_scaling_galilean(64, 1.0, 0.1) == 0.0
 
 
 def test_symmetry_coarse_grid_fails_checks_not_usage():
     # at n = 8 the automatic step exceeds t_end / k; each run is cut to the horizon
     # and the unresolved grid fails its checks (exit 1) instead of exit 2
     assert main(["verify", "--suite", "symmetry", "--n", "8"]) == 1
-    assert main(["symmetry", "--n", "8", "--k", "3"]) == 1
+    assert measure_scaling_galilean(8, 3.0, 0.25) > 1e-3
     # (0.7 / 0.3) * 0.3 rounds one ulp above 0.7: the rescaled run keeps its step
-    assert main(["symmetry", "--n", "8", "--t-end", "0.7", "--k", "0.3"]) == 1
+    assert math.isfinite(measure_scaling_galilean(8, 0.3, 0.7))
 
 
 def test_symmetry_bad_k():
-    assert main(["symmetry", "--k", "-2.0", "--n", "64"]) == 2
+    with pytest.raises(UsageError, match="k = -2.0"):
+        measure_scaling_galilean(64, -2.0, 0.25)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\s+```sh\n(.*?)```", readme, re.S)
+    assert block, "README.md has no CLI block"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("sqgfronts")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert {argv[1] for argv in lines} == {"simulate", "verify", "velocity-map"}
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+
+
+def test_help_lists_the_three_commands(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    assert "{simulate,verify,velocity-map}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["dispersion"], ["symmetry", "--k", "2"],
+                                  ["simulate", "--config", "run.json", "--n", "128"],
+                                  ["simulate", "--config", "run.json", "--dt", "0.01"],
+                                  ["velocity-map", "--config", "line.json", "--n", "128"]],
+                         ids=["dispersion", "symmetry", "simulate-n", "simulate-dt", "velocity-map-n"])
+def test_removed_commands_and_flags_exit_2(argv, capsys):
+    # the run config is the only place that sets a run; verify runs the checks
+    with pytest.raises(SystemExit) as ei:
+        build_parser().parse_args(argv)
+    assert ei.value.code == 2
 
 
 def test_console_script_version():

@@ -222,6 +222,16 @@ def test_integrate_line_needs_dt():
         integrate(_line_cfg(600, 0.1, None))
 
 
+def test_integrate_line_refuses_a_leaking_start_state():
+    # the line tails assume a front flat outside the middle half [-15, 15)
+    window = {"amplitude": 0.1, "mode": 1.0, "plateau": 10.0, "support": 20.0}
+    cfg = SimConfig(grid=make_grid(-30.0, 60.0, 256), t_end=0.01, dt=0.005,
+                    initial_family="windowed_cosine", initial_params=window)
+    with pytest.raises(ValueError, match="middle half.*defect"):
+        integrate(cfg)
+    assert not integrate(replace(cfg, initial_params={**window, "support": 14.0})).aborted
+
+
 def test_integrate_line_smoke():
     traj = integrate(_line_cfg(600, 0.01, 0.005))
     assert not traj.aborted
