@@ -43,7 +43,6 @@ from .quadrature import (
     KernelParams,
     background_term,
     cosine_integral_constant,
-    diagonal_limit_one_sided,
     kernel_difference,
     linear_term_quadrature,
     nonlinear_term,

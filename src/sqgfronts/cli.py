@@ -36,17 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
+from .dynamics import SimConfig, _slope, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
 from .fronts import FAMILIES, front_profile
 from .grid import (
     EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
     LineGrid,
-    build_workspace,
-    finite_difference_derivative,
     make_grid,
     make_state,
-    spectral_derivative,
 )
 from .halfspace import HalfSpacePoint, boundary_stream, harmonic_extension, stream_function
 from .quadrature import KernelParams, background_term, cosine_integral_constant, scale_identity
@@ -470,10 +467,9 @@ def cmd_simulate(args) -> int:
     mean_drift, l2_drift = invariant_drift(traj)
 
     out.mkdir(parents=True, exist_ok=True)
-    ws = build_workspace(cfg.grid) if cfg.backend == "periodic_spectral" else None
     files = []
     for i, snap in enumerate(traj.snapshots):
-        phix = spectral_derivative(snap, ws) if ws is not None else finite_difference_derivative(snap)
+        phix = _slope(snap)
         name = f"snapshot_{i:04d}.csv"
         write_csv(out / name, ["x", "phi", "phi_x"],
                   zip(snap.grid.x.tolist(), snap.phi.tolist(), phix.tolist()))
@@ -534,11 +530,14 @@ def cmd_velocity_map(args) -> int:
 
 
 def _numbers(text: str, flag: str) -> list:
-    """A nonempty comma list of numbers."""
+    """A nonempty comma list of finite numbers."""
     with _usage(f"{flag}: "):
         values = [float(t) for t in text.split(",") if t.strip()]
     if not values:
         raise UsageError(f"{flag} needs at least one number")
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise UsageError(f"{flag} takes finite numbers only, got {bad[0]}")
     return values
 
 

@@ -15,22 +15,22 @@ The grid's periodicity picks the backend.
 flipped); the two groupings are algebraically identical and their numerical
 agreement is a standing verification target; only `rhs` is stepped.
 
-Time stepping is fourth-order Runge-Kutta; the grid's periodicity picks the
-method, as it picks the backend. The line backend takes classical RK4 at a
-step the caller sets. The periodic backend takes integrating-factor RK4
-(Lawson's method; Cox & Matthews 2002, Kassam & Trefethen 2005): each mode
-is advanced by the exact propagator exp(lambda dt) of the linear symbol
-lambda(xi) = 2 i xi (log|xi| + gamma - log 2), and RK4 runs on the
-nonlinear remainder only, so the stiff dispersion sets no step. The stages
-still evaluate `rhs`; the remainder is the transform of the stage tendency
-minus lambda times the stage spectrum. The automatic step is set by that
-remainder's rate at the start state (see `cfl_timestep`).
+Time stepping is one fourth-order Runge-Kutta in Lawson's integrating-factor
+form (Cox & Matthews 2002, Kassam & Trefethen 2005): the stepped variable v
+is advanced by the exact propagator exp(lambda dt), and RK4 runs on the
+remainder, the transform of the stage tendency `rhs` minus lambda v. On a
+periodic grid v = rfft(phi) and lambda is the grid's linear symbol
+2 i xi (log|xi| + gamma - log 2), so the stiff dispersion sets no step and
+the automatic step is set by the remainder's rate at the start state (see
+`cfl_timestep`). On the line v = phi and lambda = 0, where Lawson's stages
+are classical RK4's, at a step the caller sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -40,9 +40,7 @@ from .grid import (
     TWO_GAMMA_MINUS_LOG4,
     FrontState,
     LineGrid,
-    SpectralWorkspace,
     apply_linear_multiplier,
-    build_workspace,
     finite_difference_derivative,
     make_state,
     spectral_derivative,
@@ -166,27 +164,27 @@ def initial_state(cfg: SimConfig) -> FrontState:
     return make_state(cfg.grid, phi, t=0.0)
 
 
-def _slope(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None) -> np.ndarray:
-    if cfg.backend == "periodic_spectral":
-        return spectral_derivative(state, ws)
+def _slope(state: FrontState) -> np.ndarray:
+    """phi_x: spectral on a periodic grid, the 4th-order stencil on the line."""
+    if state.grid.periodic:
+        return spectral_derivative(state)
     return finite_difference_derivative(state)
 
 
-def rhs(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None = None) -> np.ndarray:
+def rhs(state: FrontState, cfg: SimConfig) -> np.ndarray:
     """Front tendency phi_t at the grid nodes."""
     if state.grid.periodic != (cfg.backend == "periodic_spectral"):
         raise ValueError("state grid periodicity does not match cfg.backend")
-    if cfg.backend == "periodic_spectral":
-        ws = ws or build_workspace(state.grid)
-        phix = spectral_derivative(state, ws)
+    if state.grid.periodic:
+        phix = spectral_derivative(state)
         return (nonlinear_term(state, phix)
-                + apply_linear_multiplier(state, ws)
+                + apply_linear_multiplier(state)
                 + TWO_GAMMA_MINUS_LOG4 * phix)
     phix = finite_difference_derivative(state)
     return nonlinear_term(state, phix) + linear_term_quadrature(state, phix)
 
 
-def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None = None) -> np.ndarray:
+def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     """Tendency assembled in the advective grouping (periodic only).
 
     phi_t = 2 log|d/dx| phi_x - 2 (log 2 - gamma) phi_x - int (phi_x(x) -
@@ -196,10 +194,9 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace |
     if cfg.backend != "periodic_spectral" or state.grid.periodic is False:
         raise ValueError("rhs_galilean_form needs the periodic_spectral backend "
                          "(the multiplier form of the linear term)")
-    ws = ws or build_workspace(state.grid)
     g = state.grid
     phi = state.phi
-    phix = spectral_derivative(state, ws)
+    phix = spectral_derivative(state)
 
     sep = _by_offset(_separation(g), g.n)
 
@@ -211,7 +208,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace |
     # same diagonal-kink treatment as the forward grouping, sign folded
     opposing -= _diagonal_jump_correction("contrast", phix, g.dx, periodic=True)
 
-    return (apply_linear_multiplier(state, ws)
+    return (apply_linear_multiplier(state)
             + TWO_GAMMA_MINUS_LOG4 * phix
             - opposing)
 
@@ -220,16 +217,16 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace |
 _REMAINDER_SHARE = 0.3
 
 
-def _remainder_rates(state: FrontState, ws: SpectralWorkspace) -> tuple[float, float]:
+def _remainder_rates(state: FrontState) -> tuple[float, float]:
     """(Lambda, f): the peak |lambda| over the grid modes, and the share
     f = 1 - 1/sqrt(1 + S^2) of it that the nonlinear remainder reaches at the
     state's peak slope S."""
-    slope = float(np.max(np.abs(spectral_derivative(state, ws))))
+    slope = float(np.max(np.abs(spectral_derivative(state))))
     root = math.sqrt(1.0 + slope * slope)
-    return float(np.max(np.abs(ws.rate))), slope * slope / (root * (root + 1.0))
+    return float(np.max(np.abs(state.grid.spectral.rate))), slope * slope / (root * (root + 1.0))
 
 
-def cfl_timestep(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None = None) -> float:
+def cfl_timestep(state: FrontState, cfg: SimConfig) -> float:
     """Automatic integrating-factor RK4 step from the start state (periodic only).
 
     exp(lambda dt) removes the linear stiffness, so the step is set by the
@@ -249,66 +246,58 @@ def cfl_timestep(state: FrontState, cfg: SimConfig, ws: SpectralWorkspace | None
     """
     if cfg.backend != "periodic_spectral" or not state.grid.periodic:
         raise ValueError("cfl_timestep applies to the periodic backend only")
-    peak, share = _remainder_rates(state, ws or build_workspace(state.grid))
+    peak, share = _remainder_rates(state)
     rate = peak * min(1.0, share / _REMAINDER_SHARE)
     return cfg.t_end if rate * cfg.t_end <= cfg.cfl_safety else cfg.cfl_safety / rate
 
 
-def _stability_step(state: FrontState, ws: SpectralWorkspace) -> float:
+def _stability_step(state: FrontState) -> float:
     """Largest integrating-factor RK4 step the start state can take: RK4's
     imaginary-axis interval 2 sqrt 2 over the remainder's rate Lambda f."""
-    peak, share = _remainder_rates(state, ws)
+    peak, share = _remainder_rates(state)
     return math.inf if share == 0.0 else 2.0 * math.sqrt(2.0) / (peak * share)
 
 
-def _integrating_factor_rk4(state: FrontState, dt: float, cfg: SimConfig, ws: SpectralWorkspace) -> np.ndarray:
-    """phi after one integrating-factor RK4 step, see the module docstring."""
-    n, t, lam = state.grid.n, state.t, ws.rate
+def step_rk4(state: FrontState, dt: float, cfg: SimConfig) -> FrontState:
+    """One Lawson-form RK4 step of the tendency `rhs`, see the module docstring."""
+    if dt <= 0.0 or not np.isfinite(dt):
+        raise ValueError(f"dt must be positive, got {dt}")
+    g, t = state.grid, state.t
+    if g.periodic:
+        lam = g.spectral.rate
+        forward, back = np.fft.rfft, partial(np.fft.irfft, n=g.n)
+    else:
+        lam = 0.0
+        forward = back = np.asarray
     half = np.exp(0.5 * dt * lam)
     full = half * half
 
     def remainder(v, time, stage=None):
         if stage is None:
-            stage = state.with_phi(np.fft.irfft(v, n), time)
-        return np.fft.rfft(rhs(stage, cfg, ws)) - lam * v
+            stage = state.with_phi(back(v), time)
+        return forward(rhs(stage, cfg)) - lam * v
 
-    v = np.fft.rfft(state.phi)
+    v = forward(state.phi)
     a = remainder(v, t, state)
     b = remainder(half * (v + 0.5 * dt * a), t + 0.5 * dt)
     c = remainder(half * v + 0.5 * dt * b, t + 0.5 * dt)
     d = remainder(full * v + dt * half * c, t + dt)
-    return np.fft.irfft(full * v + dt / 6.0 * (full * a + 2.0 * half * (b + c) + d), n)
-
-
-def step_rk4(state: FrontState, dt: float, cfg: SimConfig, ws: SpectralWorkspace | None = None) -> FrontState:
-    """One fourth-order Runge-Kutta step of the tendency `rhs`: classical on
-    the line backend, integrating-factor on the periodic one."""
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
-    phi, t = state.phi, state.t
-    if cfg.backend == "periodic_spectral":
-        new_phi = _integrating_factor_rk4(state, dt, cfg, ws or build_workspace(state.grid))
-    else:
-        k1 = rhs(state, cfg, ws)
-        k2 = rhs(state.with_phi(phi + 0.5 * dt * k1, t + 0.5 * dt), cfg, ws)
-        k3 = rhs(state.with_phi(phi + 0.5 * dt * k2, t + 0.5 * dt), cfg, ws)
-        k4 = rhs(state.with_phi(phi + dt * k3, t + dt), cfg, ws)
-        new_phi = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new_phi = back(full * v + dt / 6.0 * (full * a + 2.0 * half * (b + c) + d))
     if not np.all(np.isfinite(new_phi)):
         raise RuntimeError(f"non-finite front after step at t = {t}; "
-                           f"max |phi| before = {float(np.max(np.abs(phi)))}")
+                           f"max |phi| before = {float(np.max(np.abs(state.phi)))}")
     return state.with_phi(new_phi, t + dt)
 
 
-def _diagnose(state: FrontState, cfg: SimConfig, ws) -> dict:
-    phix = _slope(state, cfg, ws)
+def _diagnose(state: FrontState, cfg: SimConfig) -> dict:
+    phix = _slope(state)
     rec = {
         "t": state.t,
         "mean": float(np.mean(state.phi)),
         "l2": float(np.sqrt(np.sum(state.phi**2) * state.grid.dx)),
         "max_slope": float(np.max(np.abs(phix))),
     }
-    if cfg.backend == "line_quadrature":
+    if not state.grid.periodic:
         # the line tails assume a front flat beyond the middle half
         rec["support_defect"] = support_defect(state)
         rec["edge_asymmetry"] = abs(float(state.phi[0]) - float(state.phi[-1]))
@@ -331,40 +320,40 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
         raise ValueError("state grid does not match cfg.grid")
     elif state.t != 0.0:
         raise ValueError(f"integrate starts at t = 0, got a state at t = {state.t}")
-    if cfg.backend == "line_quadrature":
+    periodic = cfg.grid.periodic
+    if not periodic:
         validate_line_support(state)  # the precondition of the line tails
 
-    ws = build_workspace(cfg.grid) if cfg.backend == "periodic_spectral" else None
     if cfg.dt is not None:
         dt = cfg.dt
-        if cfg.backend == "periodic_spectral":
-            cap = _stability_step(state, ws)
+        if periodic:
+            cap = _stability_step(state)
             if dt > cap:
                 raise ValueError(f"dt = {dt} exceeds the stability step {cap:.3e} of the start state")
     else:
-        if cfg.backend != "periodic_spectral":
+        if not periodic:
             raise ValueError("line_quadrature has no automatic step size; set cfg.dt")
-        dt = cfl_timestep(state, cfg, ws)
+        dt = cfl_timestep(state, cfg)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-9)))
     snapshots = [state]
-    diagnostics = [_diagnose(state, cfg, ws)]
+    diagnostics = [_diagnose(state, cfg)]
     aborted = False
     steps = 0
     for k in range(n_steps):
         # the last step starts at or past (about) t_end / 2, so t_end - state.t
         # is exact (Sterbenz) and the t + step that step_rk4 forms is t_end
         step = cfg.t_end - state.t if k == n_steps - 1 else dt
-        state = step_rk4(state, step, cfg, ws)
+        state = step_rk4(state, step, cfg)
         steps += 1
-        if float(np.max(np.abs(_slope(state, cfg, ws)))) > MAX_SLOPE:
+        if float(np.max(np.abs(_slope(state)))) > MAX_SLOPE:
             aborted = True
             snapshots.append(state)
-            diagnostics.append(_diagnose(state, cfg, ws))
+            diagnostics.append(_diagnose(state, cfg))
             break
         if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
             snapshots.append(state)
-            diagnostics.append(_diagnose(state, cfg, ws))
+            diagnostics.append(_diagnose(state, cfg))
     return Trajectory(snapshots=tuple(snapshots), diagnostics=tuple(diagnostics), aborted=aborted,
                       dt=dt, steps=steps)
 

@@ -1,4 +1,4 @@
-"""Uniform 1D grids, front states, and the spectral workspace.
+"""Uniform 1D grids, front states, and the spectral tables.
 
 The front is the graph y = phi(x) over a uniform grid x_j = x_min + j*dx.
 Two backends share this module: a line backend (front compactly supported
@@ -6,14 +6,21 @@ inside the middle half of the grid, quadrature in physical space) and a
 periodic backend (FFT-based operators on a periodic window, used as a
 numerical device for verification).
 
+A periodic grid owns its spectral tables (`SpectralWorkspace`): the
+multipliers i xi, 2 i xi log|xi| and the linear symbol on the rfft
+half-spectrum, built once on first use of `LineGrid.spectral` and
+read-only. The spectral operators take them from the state's grid.
+
 DFT convention, fixed once for the whole package: forward transform
 ``c_k = sum_j v_j exp(-i xi_k x_j)`` without normalization, inverse carries
-the 1/n factor (numpy's convention), wavenumbers ``xi_k = 2*pi*fftfreq(n, dx)``.
+the 1/n factor (numpy's convention), wavenumbers ``xi_k = 2*pi*fftfreq(n, dx)``;
+real fields go through rfft/irfft, modes k = 0 .. n/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +77,11 @@ class LineGrid:
     @property
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
+
+    @cached_property
+    def spectral(self) -> "SpectralWorkspace":
+        """The grid's half-spectrum tables, built on first use (periodic only)."""
+        return build_workspace(self)
 
 
 def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> LineGrid:
@@ -132,9 +144,7 @@ def support_defect(state: FrontState) -> float:
     x = g.x
     lo = g.x_min + 0.25 * g.length
     hi = g.x_min + 0.75 * g.length
-    outside = (x < lo) | (x >= hi)
-    if not np.any(outside):
-        return 0.0
+    outside = (x < lo) | (x >= hi)  # never empty: node 0 lies below lo
     return float(np.max(np.abs(state.phi[outside] - far_field_value(state))))
 
 
@@ -145,7 +155,7 @@ def validate_line_support(state: FrontState, tol: float = 1e-12) -> None:
     below one). Line-mode tail corrections assume quiescence beyond the grid,
     which this check is a proxy for.
     """
-    amp = float(np.max(np.abs(state.phi - far_field_value(state)))) if state.grid.n else 0.0
+    amp = float(np.max(np.abs(state.phi - far_field_value(state))))
     defect = support_defect(state)
     if defect > tol * max(1.0, amp):
         raise ValueError(
@@ -156,78 +166,67 @@ def validate_line_support(state: FrontState, tol: float = 1e-12) -> None:
 
 @dataclass(frozen=True)
 class SpectralWorkspace:
-    """Precomputed wavenumbers and dispersive multiplier.
+    """The Fourier multipliers of the evolution on the rfft half-spectrum.
 
-    The evolution's linear operator acts in Fourier space as multiplication
-    by ``m(xi) = 2i xi log|xi|`` with ``m(0) = 0``, plus the advection
-    ``2 (gamma - log 2) d/dx``. The Nyquist entry is zeroed as well: the
-    multiplier is odd, and an unpaired Nyquist mode would otherwise break
-    the reality of the output.
+    Each table has n // 2 + 1 entries, one per rfft mode xi_k = 2 pi k /
+    (n dx), k = 0 .. n/2, and is read-only. Their Nyquist entries are zeroed:
+    the multipliers are odd, and an unpaired Nyquist mode would otherwise
+    break the reality of the output. A periodic grid builds its tables once,
+    on first use, and holds them as `LineGrid.spectral`.
 
     Attributes
     ----------
-    xi : ndarray
-        Physical wavenumbers 2*pi*fftfreq(n, dx), numpy FFT ordering.
+    ixi : ndarray (complex)
+        The derivative multiplier i xi.
     symbol : ndarray (complex)
-        Tabulated m(xi).
+        The dispersive multiplier ``m(xi) = 2i xi log|xi|``, ``m(0) = 0``.
     rate : ndarray (complex)
-        The whole linear symbol ``2i xi (log|xi| + gamma - log 2)`` on the
-        rfft half-spectrum (n // 2 + 1 entries, Nyquist zeroed): the growth
+        The whole linear symbol ``2i xi (log|xi| + gamma - log 2)``, the
+        multiplier plus the advection ``2 (gamma - log 2) d/dx``: the growth
         rate of each mode of the linearized evolution.
     """
 
-    xi: np.ndarray
+    ixi: np.ndarray
     symbol: np.ndarray
     rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("xi", "symbol", "rate"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, np.asarray(arr))
+        for name in ("ixi", "symbol", "rate"):
+            getattr(self, name).flags.writeable = False
 
 
 def build_workspace(grid: LineGrid) -> SpectralWorkspace:
-    """Tabulate the spectral machinery for a periodic grid."""
+    """Tabulate the half-spectrum multipliers of a periodic grid."""
     if not grid.periodic:
         raise ValueError("spectral workspace requires a periodic grid")
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
+    ixi = 1.0j * xi
     with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = 2.0j * xi * np.log(np.abs(xi))
+        symbol = 2.0j * xi * np.log(xi)
     symbol[0] = 0.0
-    symbol[grid.n // 2] = 0.0  # unpaired Nyquist mode, see class docstring
-    # the first n // 2 + 1 entries of the full-spectrum symbol are the rfft
-    # modes 0 .. n/2, the last of them the zeroed Nyquist entry
-    half = slice(0, grid.n // 2 + 1)
-    rate = symbol[half] + TWO_GAMMA_MINUS_LOG4 * 1.0j * xi[half]
-    rate[-1] = 0.0
-    return SpectralWorkspace(xi=xi, symbol=symbol, rate=rate)
+    rate = symbol + TWO_GAMMA_MINUS_LOG4 * ixi
+    for table in (ixi, symbol, rate):
+        table[-1] = 0.0  # unpaired Nyquist mode, see the class docstring
+    return SpectralWorkspace(ixi=ixi, symbol=symbol, rate=rate)
 
 
-def apply_linear_multiplier(state: FrontState, workspace: SpectralWorkspace) -> np.ndarray:
-    """Dispersive linear operator applied to the front, multiplier form.
+def _multiply(state: FrontState, table: np.ndarray) -> np.ndarray:
+    return np.fft.irfft(table * np.fft.rfft(state.phi), state.grid.n)
+
+
+def apply_linear_multiplier(state: FrontState) -> np.ndarray:
+    """Dispersive linear operator applied to the front, multiplier form
+    (periodic grids only).
 
     Returns the real field with transform ``m(xi) * phi_hat``. The zero mode
     of the output vanishes identically, so the grid mean is preserved.
     """
-    if workspace.xi.shape != state.phi.shape:
-        raise ValueError("workspace was built for a different grid size")
-    return np.fft.ifft(workspace.symbol * np.fft.fft(state.phi)).real
+    return _multiply(state, state.grid.spectral.symbol)
 
 
-def spectral_derivative(state: FrontState, workspace: SpectralWorkspace | None = None) -> np.ndarray:
+def spectral_derivative(state: FrontState) -> np.ndarray:
     """phi_x by the i*xi multiplier (periodic grids only, Nyquist zeroed)."""
-    g = state.grid
-    if not g.periodic:
-        raise ValueError("spectral derivative requires a periodic grid")
-    if workspace is not None:
-        if workspace.xi.shape != state.phi.shape:
-            raise ValueError("workspace was built for a different grid size")
-        xi = workspace.xi
-    else:
-        xi = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
-    mult = 1.0j * xi
-    mult[g.n // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(state.phi)).real
+    return _multiply(state, state.grid.spectral.ixi)
 
 
 def stencil_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:

@@ -66,7 +66,6 @@ from .grid import FrontState, far_field_value, stencil_derivative
 __all__ = [
     "KernelParams",
     "kernel_difference",
-    "diagonal_limit_one_sided",
     "nonlinear_term",
     "linear_term_quadrature",
     "background_term",
@@ -114,16 +113,6 @@ def kernel_difference(delta_x, delta_phi):
     if np.any(delta_x == 0.0):
         raise ValueError("kernel_difference is undefined at delta_x = 0")
     return 1.0 / np.abs(delta_x) - 1.0 / np.hypot(delta_x, delta_phi)
-
-
-def diagonal_limit_one_sided(phi_x: float, phi_xx: float) -> float:
-    """Nonlinear-integrand limit as x' -> x from the right.
-
-    The left limit is the negative; the jump is odd, so the trapezoid node
-    carries the average 0. Fixed against an eps-refinement oracle.
-    """
-    r = math.sqrt(1.0 + phi_x * phi_x)
-    return phi_xx * (r - 1.0) / r
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,16 @@ def test_velocity_map_probe_on_front(tmp_path):
     assert code == 2  # singular probe reported as a usage error
 
 
+@pytest.mark.parametrize("flag", ["--probe-x", "--probe-y"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_velocity_map_refuses_non_finite_probes(flag, value, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LINE_CFG)
+    out = tmp_path / "vm"
+    assert main(["velocity-map", "--config", cfg, f"{flag}=5.0,{value}", "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symmetry_identity():
     assert measure_scaling_galilean(64, 1.0, 0.1) == 0.0
 

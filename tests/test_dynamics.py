@@ -21,6 +21,7 @@ from sqgfronts import (
     step_rk4,
     support_defect,
 )
+import sqgfronts.grid as grid_module
 from sqgfronts.cli import measure_invariant_drift, measure_scaling_galilean, measure_translation_in_x
 from sqgfronts.dynamics import MAX_SLOPE
 
@@ -180,23 +181,49 @@ def test_flat_front_takes_one_automatic_step():
 
 
 def test_step_rk4_local_order():
-    # against a 16-substep reference one macro step should be 5th order; the
-    # exact linear propagator leaves errors of 4.9e-10 and 1.5e-11 at these
-    # steps (at 2e-3 and 1e-3 the second one sat at the rounding floor)
-    cfg = _periodic_cfg(n=128, length=2 * np.pi, amplitude=0.05, width=0.4)
-    st = initial_state(cfg)
+    # against a 16-substep reference one macro step should be 5th order. On
+    # the periodic grid the exact linear propagator leaves errors of 4.9e-10
+    # and 1.5e-11 at these steps (at 2e-3 and 1e-3 the second one sat at the
+    # rounding floor); the line stepper (lambda = 0, classical RK4) reads a
+    # ratio of 32.2 on its front
+    periodic = _periodic_cfg(n=128, length=2 * np.pi, amplitude=0.05, width=0.4)
+    line = _line_cfg(256, 1.0, 1e-2)
 
-    def advance(state, dt, k):
+    def advance(state, dt, k, cfg):
         for _ in range(k):
             state = step_rk4(state, dt / k, cfg)
         return state
 
-    errs = []
-    for dt in (2e-2, 1e-2):
-        coarse = advance(st, dt, 1)
-        ref = advance(st, dt, 16)
-        errs.append(np.max(np.abs(coarse.phi - ref.phi)))
-    assert errs[0] / max(errs[1], 1e-17) > 20.0
+    for cfg in (periodic, line):
+        st = initial_state(cfg)
+        errs = []
+        for dt in (2e-2, 1e-2):
+            coarse = advance(st, dt, 1, cfg)
+            ref = advance(st, dt, 16, cfg)
+            errs.append(np.max(np.abs(coarse.phi - ref.phi)))
+        assert errs[0] / max(errs[1], 1e-17) > 20.0, cfg.backend
+
+
+def test_grid_builds_its_tables_once(monkeypatch):
+    # one scaling check integrates two grids (the configured one and the
+    # k-rescaled one), and each builds its tables once, on first use
+    builds = []
+    build = grid_module.build_workspace
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(grid_module, "build_workspace", counted)
+    cfg = _periodic_cfg(n=64, t_end=0.05)
+    scaling_galilean_check(cfg, 2.0)
+    assert len(builds) == 2 and builds[0] is cfg.grid
+    tables = cfg.grid.spectral
+    assert tables is cfg.grid.spectral and len(builds) == 2
+    assert tables.rate.shape == (cfg.grid.n // 2 + 1,) and tables.rate[-1] == 0.0
+    for table in (tables.ixi, tables.symbol, tables.rate):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_step_rk4_rejects_bad_dt():

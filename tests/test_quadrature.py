@@ -18,7 +18,6 @@ import pytest
 from sqgfronts import (
     KernelParams,
     cosine_integral_constant,
-    diagonal_limit_one_sided,
     front_profile,
     kernel_difference,
     linear_term_quadrature,
@@ -85,12 +84,35 @@ def test_kernel_difference_basics():
         kernel_difference(0.0, 0.5)
 
 
+def _diagonal_limit_one_sided(phi_x, phi_xx):
+    """Nonlinear-integrand limit as x' -> x from the right (the module
+    docstring's diagonal rule); the left limit is the negative."""
+    r = np.sqrt(1.0 + phi_x * phi_x)
+    return phi_xx * (r - 1.0) / r
+
+
 def test_diagonal_limit():
-    # coincidence limit of the slope-contrast integrand from either side
-    assert diagonal_limit_one_sided(0.0, 2.5) == 0.0
-    r = np.hypot(1.0, 0.8)
-    expected = 1.3 * (r - 1.0) / r
-    assert abs(diagonal_limit_one_sided(0.8, 1.3) - expected) < 1e-15
+    # the integrand (rho(x) - rho(x')) [1/sqrt(s^2 + dphi^2) - 1/|s|] of a
+    # gaussian front, rho = phi_x, evaluated at x' = x +- eps; its one-sided
+    # limits are +-phi_xx (r - 1)/r, r = sqrt(1 + phi_x^2), and it closes on
+    # them at first order in eps
+    a, w = 0.5, 2.0
+    phi = lambda x: a * np.exp(-((x / w) ** 2))
+    rho = lambda x: -2.0 * x / w**2 * phi(x)
+    rho_x = lambda x: (4.0 * x**2 / w**4 - 2.0 / w**2) * phi(x)
+
+    def integrand(x, xp):
+        s = xp - x
+        return (rho(x) - rho(xp)) * (1.0 / np.hypot(s, phi(x) - phi(xp)) - 1.0 / abs(s))
+
+    for x in (0.7, -1.9):
+        limit = _diagonal_limit_one_sided(rho(x), rho_x(x))
+        assert abs(limit) > 1e-3
+        for side in (1.0, -1.0):
+            errs = [abs(integrand(x, x + side * eps) - side * limit) for eps in (1e-2, 1e-3, 1e-4)]
+            assert errs[-1] < 1e-4 * abs(limit)
+            assert all(8.0 < e0 / e1 < 12.0 for e0, e1 in zip(errs, errs[1:]))
+    assert _diagonal_limit_one_sided(0.0, 2.5) == 0.0
 
 
 def test_nonlinear_term_oracle():
