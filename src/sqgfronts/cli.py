@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, _slope, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
+from .dynamics import SimConfig, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
 from .fronts import FAMILIES, front_profile
 from .grid import (
     EULER_GAMMA,
@@ -130,8 +130,7 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     params = _get(ispec, "params", "initial", required=False, default={})
     _expect(isinstance(params, dict), "initial.params", "must be an object")
     for key, value in params.items():
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        _expect(not numeric or _is_number(value), f"initial.params.{key}", "must be a finite number")
+        _expect(_is_number(value), f"initial.params.{key}", "must be a finite number")
     try:
         front_profile(grid.x, family, **params)
     except (TypeError, ValueError) as e:
@@ -469,10 +468,9 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for i, snap in enumerate(traj.snapshots):
-        phix = _slope(snap)
         name = f"snapshot_{i:04d}.csv"
         write_csv(out / name, ["x", "phi", "phi_x"],
-                  zip(snap.grid.x.tolist(), snap.phi.tolist(), phix.tolist()))
+                  zip(snap.grid.x.tolist(), snap.phi.tolist(), snap.slope.tolist()))
         files.append(name)
     write_manifest(out / "manifest.json", {
         "command": "simulate", "version": __version__, "config": raw,
@@ -510,7 +508,7 @@ def cmd_verify(args) -> int:
 
 def cmd_velocity_map(args) -> int:
     cfg, _ = load_config(args.config)
-    if cfg.backend != "line_quadrature":
+    if cfg.grid.periodic:
         raise UsageError("velocity-map needs a line backend config (anchored velocity kernel)")
     xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
 

@@ -4,11 +4,13 @@ The tendency is the sum of the nonlinear self-interaction integral and a
 linear nonlocal term. Two backends:
 
   line_quadrature : both pieces by physical-space quadrature on a flat-tailed
-      line grid (see `quadrature`), slopes by 4th-order finite differences.
+      line grid (see `quadrature`).
   periodic_spectral : nonlinear piece by minimum-image quadrature over half a
       period, linear piece by the Fourier multiplier 2 i xi log|xi| plus the
-      constant advection 2 (gamma - log 2) phi_x, slopes spectral.
-The grid's periodicity picks the backend.
+      constant advection 2 (gamma - log 2) phi_x.
+The grid's periodicity picks the backend. Every op takes phi_x from the state
+(`FrontState.slope`: spectral on a periodic grid, the 4th-order stencil on the
+line), which computes it once.
 
 `rhs_galilean_form` reassembles the same tendency in its advective grouping
 (multiplier minus advection minus the kernel-contrast integral with its sign
@@ -41,9 +43,7 @@ from .grid import (
     FrontState,
     LineGrid,
     apply_linear_multiplier,
-    finite_difference_derivative,
     make_state,
-    spectral_derivative,
     support_defect,
     validate_line_support,
 )
@@ -164,23 +164,15 @@ def initial_state(cfg: SimConfig) -> FrontState:
     return make_state(cfg.grid, phi, t=0.0)
 
 
-def _slope(state: FrontState) -> np.ndarray:
-    """phi_x: spectral on a periodic grid, the 4th-order stencil on the line."""
-    if state.grid.periodic:
-        return spectral_derivative(state)
-    return finite_difference_derivative(state)
-
-
 def rhs(state: FrontState, cfg: SimConfig) -> np.ndarray:
     """Front tendency phi_t at the grid nodes."""
-    if state.grid.periodic != (cfg.backend == "periodic_spectral"):
+    if state.grid.periodic != cfg.grid.periodic:
         raise ValueError("state grid periodicity does not match cfg.backend")
+    phix = state.slope
     if state.grid.periodic:
-        phix = spectral_derivative(state)
         return (nonlinear_term(state, phix)
                 + apply_linear_multiplier(state)
                 + TWO_GAMMA_MINUS_LOG4 * phix)
-    phix = finite_difference_derivative(state)
     return nonlinear_term(state, phix) + linear_term_quadrature(state, phix)
 
 
@@ -191,12 +183,12 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     phi_x(x')) [1/|s| - 1/sqrt(s^2 + dphi^2)] dx'. Must agree with `rhs` to
     rounding; kept as a separate assembly so that check stays meaningful.
     """
-    if cfg.backend != "periodic_spectral" or state.grid.periodic is False:
+    if not (cfg.grid.periodic and state.grid.periodic):
         raise ValueError("rhs_galilean_form needs the periodic_spectral backend "
                          "(the multiplier form of the linear term)")
     g = state.grid
     phi = state.phi
-    phix = spectral_derivative(state)
+    phix = state.slope
 
     sep = _by_offset(_separation(g), g.n)
 
@@ -221,7 +213,7 @@ def _remainder_rates(state: FrontState) -> tuple[float, float]:
     """(Lambda, f): the peak |lambda| over the grid modes, and the share
     f = 1 - 1/sqrt(1 + S^2) of it that the nonlinear remainder reaches at the
     state's peak slope S."""
-    slope = float(np.max(np.abs(spectral_derivative(state))))
+    slope = float(np.max(np.abs(state.slope)))
     root = math.sqrt(1.0 + slope * slope)
     return float(np.max(np.abs(state.grid.spectral.rate))), slope * slope / (root * (root + 1.0))
 
@@ -244,7 +236,7 @@ def cfl_timestep(state: FrontState, cfg: SimConfig) -> float:
     this is the linear stability step 1 / Lambda. A flat front takes one
     exact step.
     """
-    if cfg.backend != "periodic_spectral" or not state.grid.periodic:
+    if not (cfg.grid.periodic and state.grid.periodic):
         raise ValueError("cfl_timestep applies to the periodic backend only")
     peak, share = _remainder_rates(state)
     rate = peak * min(1.0, share / _REMAINDER_SHARE)
@@ -290,7 +282,7 @@ def step_rk4(state: FrontState, dt: float, cfg: SimConfig) -> FrontState:
 
 
 def _diagnose(state: FrontState, cfg: SimConfig) -> dict:
-    phix = _slope(state)
+    phix = state.slope
     rec = {
         "t": state.t,
         "mean": float(np.mean(state.phi)),
@@ -346,7 +338,7 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
         step = cfg.t_end - state.t if k == n_steps - 1 else dt
         state = step_rk4(state, step, cfg)
         steps += 1
-        if float(np.max(np.abs(_slope(state)))) > MAX_SLOPE:
+        if float(np.max(np.abs(state.slope))) > MAX_SLOPE:
             aborted = True
             snapshots.append(state)
             diagnostics.append(_diagnose(state, cfg))
@@ -372,8 +364,8 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     """
     if not (np.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive, got {k}")
-    if cfg.backend != "periodic_spectral":
-        raise ValueError(f"scaling_galilean_check needs the periodic_spectral backend, got {cfg.backend!r}")
+    if not cfg.grid.periodic:
+        raise ValueError("scaling_galilean_check needs the periodic_spectral backend, got 'line_quadrature'")
     g = cfg.grid
 
     grid_b = LineGrid(x_min=g.x_min * k, n=g.n, dx=g.dx * k, periodic=g.periodic)

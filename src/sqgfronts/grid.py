@@ -11,6 +11,10 @@ multipliers i xi, 2 i xi log|xi| and the linear symbol on the rfft
 half-spectrum, built once on first use of `LineGrid.spectral` and
 read-only. The spectral operators take them from the state's grid.
 
+A state owns its slope: `FrontState.slope` alone picks the derivative and
+computes it once. States are immutable, so it cannot go stale; the grid's
+nodes `LineGrid.x` are kept read-only the same way.
+
 DFT convention, fixed once for the whole package: forward transform
 ``c_k = sum_j v_j exp(-i xi_k x_j)`` without normalization, inverse carries
 the 1/n factor (numpy's convention), wavenumbers ``xi_k = 2*pi*fftfreq(n, dx)``;
@@ -46,6 +50,11 @@ EULER_GAMMA = 0.5772156649015329
 TWO_GAMMA_MINUS_LOG4 = 2.0 * (EULER_GAMMA - np.log(2.0))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LineGrid:
     """Uniform grid x_j = x_min + j*dx, j = 0..n-1.
@@ -74,9 +83,10 @@ class LineGrid:
         """Window length n*dx (the period, for periodic grids)."""
         return self.n * self.dx
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        """The nodes x_min + j dx, built on first use; read-only."""
+        return _read_only(self.x_min + self.dx * np.arange(self.n))
 
     @cached_property
     def spectral(self) -> "SpectralWorkspace":
@@ -107,19 +117,30 @@ def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> Li
 
 @dataclass(frozen=True)
 class FrontState:
-    """Front elevation samples phi(x_j) at time t."""
+    """Front elevation samples phi(x_j) at time t, and their slope.
+
+    Immutable: phi is a read-only copy of the samples given, and `with_phi`
+    builds a new state, whose slope is computed afresh.
+    """
 
     grid: LineGrid
     phi: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = np.array(self.phi, dtype=np.float64)
         if phi.shape != (self.grid.n,):
             raise ValueError(f"phi has shape {phi.shape}, expected ({self.grid.n},)")
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi contains non-finite values")
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _read_only(phi))
+
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """phi_x, computed on first use; read-only. Spectral on a periodic
+        grid, the 4th-order stencil on the line."""
+        derivative = spectral_derivative if self.grid.periodic else finite_difference_derivative
+        return _read_only(derivative(self))
 
     def with_phi(self, phi: np.ndarray, t: float | None = None) -> "FrontState":
         return replace(self, phi=phi, t=self.t if t is None else t)
@@ -148,7 +169,10 @@ def support_defect(state: FrontState) -> float:
     return float(np.max(np.abs(state.phi[outside] - far_field_value(state))))
 
 
-def validate_line_support(state: FrontState, tol: float = 1e-12) -> None:
+_SUPPORT_TOL = 1e-12
+
+
+def validate_line_support(state: FrontState) -> None:
     """Raise unless the front deviation is confined to the middle half.
 
     Tolerance is relative to the front amplitude (absolute for amplitudes
@@ -157,10 +181,11 @@ def validate_line_support(state: FrontState, tol: float = 1e-12) -> None:
     """
     amp = float(np.max(np.abs(state.phi - far_field_value(state))))
     defect = support_defect(state)
-    if defect > tol * max(1.0, amp):
+    tol = _SUPPORT_TOL * max(1.0, amp)
+    if defect > tol:
         raise ValueError(
             f"front support leaks outside the middle half of the grid "
-            f"(defect {defect:.3e}, tol {tol * max(1.0, amp):.3e})"
+            f"(defect {defect:.3e}, tol {tol:.3e})"
         )
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
-from .grid import FrontState, far_field_value, finite_difference_derivative
+from .grid import FrontState, far_field_value
 from .quadrature import (
     KernelParams,
     _by_offset,
@@ -99,7 +99,7 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     h = resolve_depth(state, params)
     g = state.grid
     x, dx = g.x, g.dx
-    rho = finite_difference_derivative(state)
+    rho = state.slope
     c_inf = far_field_value(state)
     d = h + c_inf
     if d <= 0.0:
@@ -133,7 +133,7 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> 
     h = shift.h
     a = y - c_inf
     b = h + c_inf
-    rho = finite_difference_derivative(state)
+    rho = state.slope
 
     # front kernel less the anchored reference; sqrt of squares, since np.hypot
     # costs about twice as much per node
@@ -162,7 +162,7 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     g = state.grid
     phi = state.phi
     n, dx = g.n, g.dx
-    rho = finite_difference_derivative(state)
+    rho = state.slope
     c_inf = far_field_value(state)
     c1 = phi + h
     d1 = phi - c_inf
@@ -200,7 +200,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     h = shift.h
     if h + float(np.min(phi)) <= 0.0:
         raise ValueError("shift depth does not stay below the front")
-    rho = finite_difference_derivative(state)
+    rho = state.slope
     c_inf = far_field_value(state)
     d = h + c_inf
     d1 = phi - c_inf
@@ -222,21 +222,22 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     return j_term + rho * shift.ubar - shift.vbar
 
 
+# half-width, in box cells, of the erf smoothing of the jump (sharp jumps ring)
+_SMOOTHING_CELLS = 2.0
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Periodic box for the 2D transform cross-check.
 
     size : side length (the box is [-size/2, size/2)^2)
     n : nodes per side
-    smoothing_cells : half-width, in cells, of the erf smoothing of the
-        temperature jump (2 per the numerical design; sharp jumps ring)
     probe_x, probe_y : probe coordinates, combined as a product; every probe
         must sit away from the strip
     """
 
     size: float
     n: int
-    smoothing_cells: float = 2.0
     probe_x: tuple = (0.0, 3.0)
     probe_y: tuple = (-12.0, -8.0, -5.0, 5.0, 8.0, 12.0)
 
@@ -245,8 +246,6 @@ class BoxSpec:
             raise ValueError(f"box size must be positive, got {self.size}")
         if self.n < 16 or self.n % 2:
             raise ValueError(f"box n must be even and >= 16, got {self.n}")
-        if not (np.isfinite(self.smoothing_cells) and self.smoothing_cells > 0.0):
-            raise ValueError(f"smoothing_cells must be positive, got {self.smoothing_cells}")
 
 
 def _riesz_at_probes(theta: np.ndarray, d: float, rows, cols):
@@ -341,7 +340,7 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     n, size = box.n, box.size
     d = size / n
     coords = -0.5 * size + d * np.arange(n)
-    sigma = box.smoothing_cells * d
+    sigma = _SMOOTHING_CELLS * d
     c_inf = far_field_value(state)
 
     cols = [int(np.argmin(np.abs(coords - xp))) for xp in box.probe_x]

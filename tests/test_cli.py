@@ -75,6 +75,13 @@ UNKNOWN_KEYS = [
     ("initial.famly", "gaussian"),
 ]
 
+# a params value that is not a number used to pass: true ran at amplitude 1
+NOT_NUMBERS = [
+    ("initial.params.amplitude", True),
+    ("initial.params.center", False),
+    ("initial.params.amplitude", [0.5]),
+]
+
 
 def _setter(field, value):
     def mutate(c):
@@ -85,10 +92,11 @@ def _setter(field, value):
     return mutate
 
 
-BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE + UNKNOWN_KEYS]
+BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE + UNKNOWN_KEYS + NOT_NUMBERS]
 BAD_FIELD_IDS = ([field for field, _ in BAD_TYPES]
                  + [f"{field}-{'huge' if value is HUGE else value}" for field, value in NON_FINITE]
-                 + [field for field, _ in UNKNOWN_KEYS])
+                 + [field for field, _ in UNKNOWN_KEYS]
+                 + [f"{field}-{json.dumps(value)}" for field, value in NOT_NUMBERS])
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):

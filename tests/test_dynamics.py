@@ -226,6 +226,15 @@ def test_grid_builds_its_tables_once(monkeypatch):
             table[0] = 1.0
 
 
+def test_periodic_run_takes_each_states_slope_once(grid_calls):
+    # the start state's slope sets the step; each step then makes three stage
+    # states and one new state, and each takes its slope once
+    calls = grid_calls("spectral_derivative")
+    traj = integrate(_periodic_cfg())  # the symmetry run
+    assert traj.steps == 13
+    assert len(calls) == 1 + 4 * traj.steps
+
+
 def test_step_rk4_rejects_bad_dt():
     cfg = _periodic_cfg()
     st = initial_state(cfg)

@@ -74,6 +74,28 @@ def test_state_validation():
     assert np.all(st.phi == 0.0)  # frozen, not aliased
 
 
+def test_state_and_grid_are_read_only():
+    g = make_grid(-30.0, 60.0, 64)
+    given = np.exp(-(g.x**2))
+    st = make_state(g, given)
+    given[:] = 7.0  # the state keeps its own copy
+    assert np.array_equal(st.phi, np.exp(-(g.x**2)))
+    for a in (st.phi, st.slope, g.x):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_state_keeps_the_grid_derivative_as_its_slope(periodic):
+    g = make_grid(-np.pi, 2 * np.pi, 128, periodic=periodic)
+    st = make_state(g, np.exp(-4.0 * g.x**2))
+    want = spectral_derivative(st) if periodic else finite_difference_derivative(st)
+    assert np.array_equal(st.slope, want)
+    assert st.slope is st.slope
+    moved = st.with_phi(2.0 * st.phi)  # a new state takes its own slope
+    assert np.array_equal(moved.slope, 2.0 * want)
+
+
 def test_far_field_and_support():
     g = make_grid(-30.0, 60.0, 600)
     phi = np.exp(-(g.x**2))

@@ -27,7 +27,7 @@ from sqgfronts import (
 )
 from sqgfronts.cli import measure_log_law, measure_velocity_routes
 from sqgfronts.quadrature import _log_w_plus_root
-from sqgfronts.velocity import _riesz_at_probes, _strip_temperature
+from sqgfronts.velocity import _SMOOTHING_CELLS, _riesz_at_probes, _strip_temperature
 
 ORACLE_UBAR = -0.6131062346376577
 ORACLE_U_05_3 = 2.0228493696395711  # u at (0.5, 3.0)
@@ -146,6 +146,16 @@ def test_normal_velocity_flat_is_zero():
     assert np.max(np.abs(normal_velocity_bmo(st, galilean_shift(st, p), p))) < 1e-12
 
 
+def test_velocity_ops_share_the_state_slope(grid_calls):
+    calls = grid_calls("finite_difference_derivative")
+    st = _state(n=512)
+    sh = galilean_shift(st, KernelParams(h=1.0))
+    for x in np.linspace(-20.0, 20.0, 100):
+        velocity_at(st, x, 3.0, sh)
+    normal_velocity_bmo(st, sh)
+    assert len(calls) == 1
+
+
 def test_box_spec_validation():
     with pytest.raises(ValueError):
         BoxSpec(size=-10.0, n=256)
@@ -251,7 +261,7 @@ def test_strip_temperature_band_matches_every_node(n, amplitude):
     d = box.size / n
     coords = -0.5 * box.size + d * np.arange(n)
     phi_cols, _ = front_profile(coords, "gaussian", amplitude=amplitude, width=2.0, center=0.3)
-    h, sigma = 1.0, box.smoothing_cells * d
+    h, sigma = 1.0, _SMOOTHING_CELLS * d
     scale = np.sqrt(2.0) * sigma
     yy = coords[:, None]
     want = 0.5 * (1.0 + erf((phi_cols[None, :] - yy) / scale))
