@@ -41,12 +41,29 @@ value -phi_x. The singular node takes the two-sided average (0 and
 dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump
 (see _diagonal_jump_correction); together the scheme is O(dx^4).
 
-Every dense pair sum goes through `_pair_sum`. The front kernels
-1/sqrt(s^2 + dphi^2) and its contrast with 1/|s| are symmetric in
-(x, x'), so `nonlinear_term` and the front sum of
+Pair sums. The grid is uniform, so a kernel of s alone is an even
+Toeplitz matrix, and the line ops that have only such kernels or the
+strip kernel skip the dense n x n pass; they still evaluate the same
+trapezoid + tails quadrature, to rounding:
+
+  * `linear_term_quadrature`: the row sums of 1/|s| come from prefix sums
+    over the offsets (`_even_row_sum`, O(n)), and its product with the
+    weighted slope from one zero-padded FFT product of length 2n
+    (`_even_toeplitz_product`, a circulant embedding).
+  * `background_term`: the strip kernel 1/sqrt(s^2 + c^2) is Toeplitz at
+    each height c, but its height is the target's own. Its row sums are
+    smooth in c, so they are summed exactly at a few Chebyshev heights and
+    interpolated to each target's height (`_strip_row_sums`); the number
+    of heights follows from the nearest branch points c = +-i dx.
+
+Every dense pair sum goes through `_pair_sum`: the kernels that depend on
+the front's heights, and the cross-checks kept as independent assemblies.
+The front kernels 1/sqrt(s^2 + dphi^2) and its contrast with 1/|s| are
+symmetric in (x, x'), so `nonlinear_term` and the front sum of
 `velocity.normal_velocity_background` evaluate them on triangular row
-blocks, each entry once. The strip kernels depend on the target's own
-height and the anchored kernel of `velocity.normal_velocity_bmo` on the
+blocks, each entry once. The strip kernels of
+`velocity.normal_velocity_background` depend on the target's own height
+and the anchored kernel of `velocity.normal_velocity_bmo` on the
 source's, so they are not symmetric and stay on full rows; the advective
 grouping `dynamics.rhs_galilean_form` stays on full rows as well, so that
 its agreement with `rhs` also checks the triangular accumulation.
@@ -54,9 +71,11 @@ its agreement with `rhs` also checks the triangular accumulation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -140,11 +159,39 @@ def _end_term(w_r, w_l, c, dx: float):
     return end[0] + end[1]
 
 
+def _end_term_at(w_r: float, w_l: float, c: float, dx: float) -> float:
+    """`_end_term` for one target, by scalar `math` calls."""
+    total = 0.0
+    for w in (w_r, w_l):
+        root = math.hypot(w, c)
+        big = abs(w) + root
+        total += dx * dx / 12.0 * w / root**3 - math.log(big if w >= 0.0 else c * c / big)
+    return total
+
+
+@lru_cache(maxsize=8)
+def _unit_reference(grid) -> tuple[np.ndarray, float]:
+    """The anchored unit reference of a line grid, built once per grid: the
+    kernel q = 1/sqrt(x^2 + 1) at the nodes (read-only) and its tails plus
+    end correction E(1) = T(x_b, -x_a, 1), with x_a, x_b the window ends."""
+    x = grid.x
+    q = 1.0 / np.hypot(x, 1.0)
+    q.flags.writeable = False
+    return q, _end_term_at(float(x[-1]), -float(x[0]), 1.0, grid.dx)
+
+
 def _end_distances(grid):
     """Distances b_r, b_l from every node to the right and left window ends,
     clamped at dx/2 so the end nodes keep a finite flat-front kernel."""
     x, half = grid.x, 0.5 * grid.dx
     return np.maximum(x[-1] - x, half), np.maximum(x - x[0], half)
+
+
+def _trapezoid_weights(n: int) -> np.ndarray:
+    """Trapezoid weights over n nodes: 1, and 1/2 at the two grid ends."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 # kernel entries per row block (512 KiB): small enough for the in-place passes
@@ -209,9 +256,7 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None,
     `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
     full-row side of the standing checks on the triangular accumulation.
     """
-    w = np.ones(n)
-    if ends:
-        w[0] = w[-1] = 0.5
+    w = _trapezoid_weights(n) if ends else np.ones(n)
     rhs = w if rho is None else np.column_stack((w, w * rho))
     acc = np.zeros(rhs.shape)
     size = max(1, _BLOCK_ELEMENTS // n)
@@ -234,24 +279,35 @@ def _even_row_sum(kernel: np.ndarray, diag=None) -> np.ndarray:
     """O(n) form of `_pair_sum(..., ends=True, diag=diag)` with rho None,
     for an even Toeplitz kernel K_ij = kernel[|i - j|].
 
-    kernel holds the n values by node offset 0..n-1; kernel[0] is not read.
+    kernel holds the n values by node offset 0..n-1 along its last axis (a
+    stack of kernels gives a stack of row sums); kernel[..., 0] is not read.
     Row i runs over the i nodes to its left and the n - 1 - i to its right,
     the grid ends at weight 1/2. The sums come from one-sided prefix sums
     over the offsets, so no two large partial sums cancel.
     """
-    n = kernel.size
+    n = kernel.shape[-1]
     off = np.array(kernel, dtype=np.float64)
-    off[0] = 0.0
-    prefix = np.cumsum(off)  # prefix[m] = sum of kernel[1..m]
-    half = 0.5 * off
-    left = np.arange(n)
-    right = n - 1 - left
-    out = prefix[left] + prefix[right] - (half[left] + half[right])
+    off[..., 0] = 0.0
+    prefix = np.cumsum(off, axis=-1)  # prefix[m] = sum of kernel[1..m]
+    prefix -= 0.5 * off
+    # row i: i offsets to the left, n - 1 - i (the reversed index) to the right
+    out = prefix + prefix[..., ::-1]
     if diag is not None:
-        w = np.ones(n)
-        w[0] = w[-1] = 0.5
-        out += w * diag
+        out += _trapezoid_weights(n) * diag
     return out
+
+
+def _even_toeplitz_product(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j kernel[|i - j|] v_j for every row i, in O(n log n).
+
+    The even Toeplitz matrix is embedded in a circulant of length 2n (the
+    offsets 0..n-1, a zero, then n-1..1), so one zero-padded real FFT
+    product applies it exactly: no product wraps onto another row.
+    kernel[0] is read; pass 0 there to leave out the diagonal.
+    """
+    n = kernel.size
+    circulant = np.concatenate((kernel, [0.0], kernel[:0:-1]))
+    return np.fft.irfft(np.fft.rfft(circulant) * np.fft.rfft(v, 2 * n), 2 * n)[:n]
 
 
 def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
@@ -357,6 +413,10 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     Fourier mode this reproduces the dispersive multiplier plus the constant
     advection 2*(gamma - log 2)*phi_x. The integral does not depend on the
     reference depth.
+
+    The bare sum rho_i (K w)_i - (K (w rho))_i, K = 1/|s|, takes O(n log n):
+    the row sums K w depend on the grid alone and come, with the recentered
+    reference, from `_even_row_sum`; K (w rho) is one zero-padded FFT product.
     """
     g = state.grid
     if g.periodic:
@@ -365,15 +425,61 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     rho = np.asarray(phix, dtype=np.float64)
     diag_coda = _diagonal_jump_correction("bare", rho, dx, periodic=False)
 
-    sep = _separation(g)
-    inv_s = _by_offset(1.0 / sep, n)
-    # (rho(x) - rho(x'))/|s| plus rho(x) times the recentered reference row sum,
-    # which depends on the grid alone; its node carries the smooth value -phi_x
-    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, rho, ends=True)
-    own = _even_row_sum(-1.0 / np.hypot(sep[n - 1:], 1.0), diag=-1.0)
-    out = (bare + rho * own) * dx
+    sep = _separation(g)[n - 1:]  # by node offset 0..n-1
+    inv_s = 1.0 / sep
+    inv_s[0] = 0.0
+    # rho(x) times the row sums of 1/|s| less the recentered reference, whose
+    # node carries the smooth value -phi_x; minus the product with w rho
+    own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0), diag=-1.0)
+    out = (rho * own - _even_toeplitz_product(inv_s, _trapezoid_weights(n) * rho)) * dx
     b = _end_distances(g)
     return out + rho * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx)) + diag_coda
+
+
+def _strip_heights(lo: float, hi: float, dx: float) -> np.ndarray:
+    """Chebyshev heights on [lo, hi] at which the strip row sums interpolate
+    to rounding.
+
+    S_i(c) = sum_j w_j / sqrt(s_ij^2 + c^2) is analytic in c but for branch
+    points at c = +-i |s_ij|, the nearest at +-i dx. The polynomial through
+    m Chebyshev points of the second kind then errs by O(r^-(m-1)), r the
+    parameter of the Bernstein ellipse of [lo, hi] through those points, so
+    m - 1 = log(1/eps) / log r reaches double precision. A flat front (lo ==
+    hi) needs its one height only.
+    """
+    if hi <= lo:
+        return np.array([lo])
+    t = complex(-(lo + hi), 2.0 * dx) / (hi - lo)
+    z = abs(t + cmath.sqrt(t - 1.0) * cmath.sqrt(t + 1.0))
+    r = max(z, 1.0 / z)
+    m = 1 + math.ceil(math.log(1.0 / np.finfo(np.float64).eps) / math.log(r))
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m) / (m - 1))
+
+
+def _strip_row_sums(grid, c: np.ndarray) -> np.ndarray:
+    """S_i(c_i) = sum_{j != i} w_j / sqrt(s_ij^2 + c_i^2), trapezoid weights w,
+    each row at its own height c_i > 0, in O(n m).
+
+    The sums are exact at the heights of `_strip_heights` (each an O(n)
+    `_even_row_sum`) and interpolated barycentrically to every c_i.
+    """
+    n = grid.n
+    heights = _strip_heights(float(np.min(c)), float(np.max(c)), grid.dx)
+    sep = _separation(grid)[n - 1:]
+    table = _even_row_sum(1.0 / np.sqrt(np.square(sep) + np.square(heights)[:, None]))
+    m = heights.size
+    if m == 1:
+        return table[0]
+    weights = np.where(np.arange(m) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    gap = np.subtract.outer(c, heights)
+    hit = gap == 0.0
+    gap[hit] = 1.0
+    coef = weights / gap
+    out = np.einsum("ik,ki->i", coef, table) / coef.sum(axis=1)
+    rows, ks = np.nonzero(hit)  # a target at a node takes the node's sum
+    out[rows] = table[ks, rows]
+    return out
 
 
 def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | None = None) -> np.ndarray:
@@ -383,6 +489,11 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
     combined quadrature + tail error of the machinery all the other line-mode
     integrals share. Line mode only (the reference kernel is anchored at
     absolute coordinates).
+
+    The strip kernel's height is the target's, c_i = phi_i + h, so its row
+    sums are not one Toeplitz product; `_strip_row_sums` interpolates them in
+    the height from exact O(n) row sums, to rounding. The unit reference
+    enters through its trapezoid sum, the same at every target.
     """
     params = params or KernelParams()
     g = state.grid
@@ -392,17 +503,11 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
     x, n, dx = g.x, g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
     c1 = state.phi + h  # > 0 by resolve_depth
-    q = 1.0 / np.hypot(x, 1.0)
-    sep = _separation(g)
-    s2 = _by_offset(sep * sep, n)
-
-    def strip(i0, i1):
-        k = _strip_kernel(c1, s2, i0, i1)
-        return np.subtract(q, k, out=k)
-
-    out = _pair_sum(strip, n, ends=True, diag=q - 1.0 / c1) * dx
-    xa, xb = x[0], x[-1]
-    ends = _end_term(xb, -xa, 1.0, dx) - _end_term(xb - x, x - xa, c1, dx)
+    q, e1 = _unit_reference(g)
+    w = _trapezoid_weights(n)
+    # trapezoid of q less the strip row sum, whose node carries 1/c1
+    out = (float(w @ q) - _strip_row_sums(g, c1) - w / c1) * dx
+    ends = e1 - _end_term(x[-1] - x, x - x[0], c1, dx)
     return rho * (out + ends - 2.0 * np.log(c1))
 
 

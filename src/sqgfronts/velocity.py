@@ -16,6 +16,17 @@ far-field law off the symmetry axis.
     ubar = -int [ 1/sqrt(x'^2+1) - 1/sqrt(x'^2+(h+phi')^2) ] dx'
     vbar =  int phi_x'(x') / sqrt(x'^2+(h+phi')^2) dx'
 
+The shift holds the anchored reference's own integral, so in a point
+sample the reference cancels exactly, and `velocity_at` evaluates
+
+    u(x,y) = -int [ 1/sqrt((x-x')^2+(y-phi')^2) - 1/sqrt(x'^2+1) ] dx'
+    v(x,y) = -int phi_x'(x') / sqrt((x-x')^2+(y-phi')^2) dx'
+
+by trapezoid plus tails: u = -(trap(front - q) dx + E_probe(|y - phi_inf|)
+- E(1)) and v = -trap(rho * front) dx, with q = 1/sqrt(x'^2 + 1) and E the
+end terms below. q and E(1) depend on the grid alone and are built once
+per grid (`quadrature._unit_reference`); the field does not depend on h.
+
 Two independent routes to the front's normal velocity are kept deliberately
 separate (their agreement is an acceptance check, not an assumption):
 
@@ -46,10 +57,12 @@ from .quadrature import (
     _diagonal_jump_correction,
     _end_distances,
     _end_term,
+    _end_term_at,
     _front_kernel,
     _pair_sum,
     _separation,
     _strip_kernel,
+    _unit_reference,
     resolve_depth,
 )
 
@@ -105,10 +118,9 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     if d <= 0.0:
         raise ValueError(f"reference depth must stay below the far-field level, got h + phi_inf = {d}")
 
+    q, e1 = _unit_reference(g)
     denom = np.hypot(x, h + state.phi)
-    fu = 1.0 / np.hypot(x, 1.0) - 1.0 / denom
-    xa, xb = x[0], x[-1]
-    ubar = -(_trapezoid(fu) * dx + float(_end_term(xb, -xa, 1.0, dx) - _end_term(xb, -xa, d, dx)))
+    ubar = -(_trapezoid(q - 1.0 / denom) * dx + e1 - _end_term_at(float(x[-1]), -float(x[0]), d, dx))
 
     vbar = _trapezoid(rho / denom) * dx  # integrand vanishes at the ends
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
@@ -116,6 +128,18 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
 
 def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> VelocitySample:
     """Velocity sample at a point off the front.
+
+    With the shift's anchored reference cancelled against its own integral
+    in (ubar, vbar), the sample is
+
+        u = -(trap(front - q) dx + E_probe(|y - phi_inf|) - E(1))
+        v = -trap(rho * front) dx
+
+    with front = 1/sqrt((x - x')^2 + (y - phi')^2), the unit reference
+    q = 1/sqrt(x'^2 + 1), and E the tails plus end correction of the
+    probe-centered front kernel and of q (`quadrature._end_term`). So
+    `shift` is no longer read (the field does not depend on the depth h);
+    the argument stays for the callers that pass it.
 
     The probe may sit outside the grid window in x; tails use the flat
     continuation of the front. Raises if the probe is within one grid
@@ -130,22 +154,14 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> 
     if abs(y - phi_at_x) < dx:
         raise ValueError(f"probe ({x}, {y}) is within one spacing of the front; velocity is singular there")
 
-    h = shift.h
-    a = y - c_inf
-    b = h + c_inf
-    rho = state.slope
-
-    # front kernel less the anchored reference; sqrt of squares, since np.hypot
-    # costs about twice as much per node
+    q, e1 = _unit_reference(g)
+    # sqrt of squares, since np.hypot costs about twice as much per node
     kernel = 1.0 / np.sqrt(np.square(x - xs) + np.square(y - phi))
-    kernel -= 1.0 / np.sqrt(np.square(xs) + np.square(h + phi))
     xa, xb = float(xs[0]), float(xs[-1])
-    # probe-centered front kernel and anchor-centered reference, in one call
-    ends = _end_term(np.array([xb - x, xb]), np.array([x - xa, -xa]), np.array([abs(a), b]), dx)
-    u = -(_trapezoid(kernel) * dx + float(ends[0] - ends[1])) - shift.ubar
+    u = -(_trapezoid(kernel - q) * dx + _end_term_at(xb - x, x - xa, abs(y - c_inf), dx) - e1)
 
-    kernel *= rho
-    v = -_trapezoid(kernel) * dx - shift.vbar
+    kernel *= state.slope
+    v = -_trapezoid(kernel) * dx
     return VelocitySample(x=float(x), y=float(y), u=u, v=v)
 
 

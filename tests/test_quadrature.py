@@ -27,9 +27,19 @@ from sqgfronts import (
     resolve_depth,
     scale_identity,
 )
-from sqgfronts import quadrature
+from sqgfronts import background_term, quadrature
 from sqgfronts.cli import measure_background, measure_scale_identity
-from sqgfronts.quadrature import _by_offset, _even_row_sum, _pair_sum, _separation
+from sqgfronts.quadrature import (
+    _by_offset,
+    _diagonal_jump_correction,
+    _end_distances,
+    _end_term,
+    _even_row_sum,
+    _pair_sum,
+    _separation,
+    _strip_kernel,
+)
+from test_acceptance import FRONTS
 
 X0 = 0.7
 ORACLE_NONLINEAR = 0.0019610448345700312  # slope-contrast integral against the front kernel
@@ -364,3 +374,129 @@ def test_end_term_closes_the_line_integral(x0):
         total = (f.sum() - 0.5 * (f[0] + f[-1])) * dx
         total += float(quadrature._end_term(w_r, w_l, a, dx) - quadrature._end_term(w_r, w_l, b, dx))
         assert abs(total - 2.0 * np.log(b / a)) <= 1e-10  # 1.2e-11 measured at x0 = 0.7
+
+
+def _linear_term_dense(state, phix):
+    # linear_term_quadrature as a dense pair sum: the bare kernel 1/|s| on
+    # full rows against the slope contrast, the recentered reference row sum
+    # by the same helper
+    g = state.grid
+    n, dx = g.n, g.dx
+    sep = _separation(g)
+    inv_s = _by_offset(1.0 / sep, n)
+    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, phix, ends=True)
+    ref = _by_offset(-1.0 / np.hypot(sep, 1.0), n)
+    own = _pair_sum(lambda i0, i1: ref[i0:i1].copy(), n, ends=True, diag=-1.0)
+    b = _end_distances(g)
+    return ((bare + phix * own) * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
+            + _diagonal_jump_correction("bare", phix, dx, periodic=False))
+
+
+def _background_term_dense(state, phix, params):
+    # background_term as a dense pair sum: the anchored unit reference less
+    # the strip kernel at each target's height, on full rows
+    g = state.grid
+    x, n, dx = g.x, g.n, g.dx
+    c1 = state.phi + resolve_depth(state, params)
+    q = 1.0 / np.hypot(x, 1.0)
+    s2 = _by_offset(_separation(g) ** 2, n)
+
+    def strip(i0, i1):
+        k = _strip_kernel(c1, s2, i0, i1)
+        return np.subtract(q, k, out=k)
+
+    out = _pair_sum(strip, n, ends=True, diag=q - 1.0 / c1) * dx
+    ends = _end_term(x[-1], -x[0], 1.0, dx) - _end_term(x[-1] - x, x - x[0], c1, dx)
+    return phix * (out + ends - 2.0 * np.log(c1))
+
+
+def _line_state(n, family, params, x_min=-30.0):
+    g = make_grid(x_min, 60.0, n)
+    phi, phix = front_profile(g.x, family, **params)
+    return make_state(g, phi), phix
+
+
+# criterion 01's fronts on [-30, 30), and one on the asymmetric window
+# [10, 70), where both window ends lie right of the anchor x = 0
+LINE_CASES = [(-30.0, f) for f in FRONTS] + [(10.0, ("gaussian", dict(amplitude=-0.3, width=2.0, center=41.0)))]
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("x_min, front", LINE_CASES)
+def test_linear_term_matches_dense_pair_sum(n, x_min, front):
+    # the O(n log n) assembly against the dense one, relative to its size
+    st, phix = _line_state(n, *front, x_min=x_min)
+    want = _linear_term_dense(st, phix)
+    got = linear_term_quadrature(st, phix)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("h", [0.31, 0.35, 0.5, 1.0, 2.0, 5.0, 50.0, None])
+@pytest.mark.parametrize("x_min", [-30.0, 10.0])
+def test_background_term_matches_dense_pair_sum(h, x_min):
+    # the strip row sums interpolated in the height against the dense audit;
+    # h = 0.31 puts the lowest strip height at 0.01, a third of dx, which
+    # needs the most interpolation heights
+    st, phix = _line_state(2048, "gaussian", dict(amplitude=-0.3, width=1.5, center=x_min + 33.0), x_min=x_min)
+    p = KernelParams(h=h)
+    want = _background_term_dense(st, phix, p)
+    assert np.max(np.abs(background_term(st, phix, p) - want)) <= 1e-13
+
+
+def test_background_term_flat_front_takes_one_height():
+    # a flat front puts every target at one height, which is sampled exactly
+    g = make_grid(-30.0, 60.0, 512)
+    st = make_state(g, np.full(g.n, 0.2))
+    rho = np.linspace(-1.0, 1.0, g.n)  # any weights: the audit is linear in them
+    p = KernelParams(h=1.0)
+    assert quadrature._strip_heights(1.2, 1.2, g.dx).size == 1
+    assert np.max(np.abs(background_term(st, rho, p) - _background_term_dense(st, rho, p))) <= 1e-13
+
+
+def test_strip_heights_follow_the_branch_points():
+    # more heights as the strip's lowest height nears the branch points at
+    # +-i dx; a strip far above them needs few
+    dx = 60.0 / 2048
+    counts = [quadrature._strip_heights(lo, 0.31, dx).size for lo in (0.3, 0.1, 0.01)]
+    assert counts[0] < counts[1] < counts[2]
+    assert quadrature._strip_heights(49.7, 50.0, dx).size < 10
+    nodes = quadrature._strip_heights(0.01, 0.31, dx)
+    assert nodes.max() == 0.31 and abs(nodes.min() - 0.01) < 1e-16
+
+
+def test_line_sums_take_no_dense_pair_sum(monkeypatch):
+    # the linear term and the background audit have no O(n^2) pass left
+    st, phix = _line_state(512, "gaussian", dict(amplitude=0.5, width=2.0, center=0.0))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense pair sum called")
+
+    monkeypatch.setattr(quadrature, "_pair_sum", dense)
+    linear_term_quadrature(st, phix)
+    background_term(st, phix, KernelParams(h=1.0))
+
+
+def test_even_toeplitz_product_matches_dense_product():
+    rng = np.random.default_rng(5)
+    for n in (8, 9, 64):
+        kernel, v = rng.standard_normal(n), rng.standard_normal(n)
+        offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        want = kernel[offsets] @ v
+        assert np.max(np.abs(quadrature._even_toeplitz_product(kernel, v) - want)) <= 1e-13
+
+
+def test_end_term_at_matches_end_term():
+    # the scalar form of the end term, also for a w < 0 (a target beyond a
+    # window end) and for c = 0 at w > 0
+    dx = 0.1
+    for w_r, w_l, c in ((29.9, 30.0, 1.0), (-5.0, 65.0, 0.3), (70.0, -10.0, 2.0), (3.0, 4.0, 0.0)):
+        want = float(_end_term(w_r, w_l, c, dx))
+        assert abs(quadrature._end_term_at(w_r, w_l, c, dx) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_unit_reference_is_built_once_per_grid():
+    g = make_grid(-30.0, 60.0, 256)
+    q, e1 = quadrature._unit_reference(g)
+    assert quadrature._unit_reference(make_grid(-30.0, 60.0, 256))[0] is q
+    assert np.array_equal(q, 1.0 / np.hypot(g.x, 1.0)) and not q.flags.writeable
+    assert e1 == pytest.approx(float(_end_term(g.x[-1], -g.x[0], 1.0, g.dx)), abs=1e-15)

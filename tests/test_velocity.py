@@ -26,6 +26,7 @@ from sqgfronts import (
     velocity_at,
 )
 from sqgfronts.cli import measure_log_law, measure_velocity_routes
+from test_acceptance import FRONTS
 from sqgfronts.quadrature import _log_w_plus_root
 from sqgfronts.velocity import _SMOOTHING_CELLS, _riesz_at_probes, _strip_temperature
 
@@ -224,6 +225,34 @@ def test_velocity_at_tails_outside_window_match_scalar_form():
             u, v = _velocity_at_scalar_tails(st, x, y, sh)
             assert abs(s.u - u) <= 1e-13
             assert abs(s.v - v) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("front", FRONTS[:4])
+def test_velocity_at_matches_anchored_reference_form(n, front):
+    # velocity_at cancels the anchored reference against the shift's own
+    # integral; the scalar-tails form keeps both, at every depth, for probes
+    # inside the window and beyond both ends
+    g = make_grid(-30.0, 60.0, n)
+    st = make_state(g, front_profile(g.x, front[0], **front[1])[0])
+    for h in (None, 1.0, 2.5):
+        sh = galilean_shift(st, KernelParams(h=h))
+        for x in (-75.0, -31.5, -12.0, 0.4, 30.0, 33.0, 80.0):
+            for y in (-6.0, -1.5, 2.5, 9.0):
+                s = velocity_at(st, x, y, sh)
+                u, v = _velocity_at_scalar_tails(st, x, y, sh)
+                assert abs(s.u - u) <= 2e-14  # 4.4e-15 measured
+                assert abs(s.v - v) <= 2e-14
+
+
+def test_velocity_at_reads_no_shift():
+    # the samples are the same, bit for bit, whatever depth the shift has
+    st = _state(n=512, amplitude=-0.3, width=1.5, center=3.0)
+    shifts = [galilean_shift(st, KernelParams(h=h)) for h in (None, 1.0, 2.5)]
+    assert len({sh.h for sh in shifts}) == 3
+    for x, y in ((0.5, 3.0), (3.0, -5.0), (-40.0, 1.2)):
+        samples = {velocity_at(st, x, y, sh) for sh in shifts}
+        assert len(samples) == 1
 
 
 def test_riesz_at_probes_matches_full_inverse_transform():
