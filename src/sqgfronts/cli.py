@@ -227,7 +227,7 @@ def measure_cosine_constant() -> float:
     return abs(cosine_integral_constant() - (EULER_GAMMA - math.log(2.0)))
 
 
-def measure_log_law(n: int, front, xs, ys, h: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def measure_log_law(n: int, front, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """|u - 2 log|y|| and |v| at the probes (x, y), x in xs, y in ys.
 
     `front` is a (family, params) pair on the [-30, 30) line, or None for
@@ -235,9 +235,8 @@ def measure_log_law(n: int, front, xs, ys, h: float = 1.0) -> tuple[np.ndarray, 
     """
     grid = _line_grid(n)
     state = make_state(grid, np.zeros(n) if front is None else front_profile(grid.x, front[0], **front[1])[0])
-    shift = galilean_shift(state, KernelParams(h=h))
     with _usage(f"n = {n}: "):  # a probe closer to the front than one spacing
-        samples = [[velocity_at(state, x, y, shift) for y in ys] for x in xs]
+        samples = [[velocity_at(state, x, y) for y in ys] for x in xs]
     return (np.array([[abs(s.u - 2.0 * math.log(abs(y))) for s, y in zip(row, ys)] for row in samples]),
             np.array([[abs(s.v) for s in row] for row in samples]))
 
@@ -251,7 +250,7 @@ def measure_velocity_routes(n: int, fronts, h: float | None) -> tuple[float, flo
     routes = tendency = 0.0
     for family, params in fronts:
         state = make_state(grid, front_profile(grid.x, family, **params)[0])
-        bmo = normal_velocity_bmo(state, galilean_shift(state, p), p)
+        bmo = normal_velocity_bmo(state, galilean_shift(state, p))
         routes = max(routes, float(np.max(np.abs(normal_velocity_background(state, p) - bmo))))
         tendency = max(tendency, float(np.max(np.abs(rhs(state, cfg) - bmo))))
     return routes, tendency
@@ -513,12 +512,11 @@ def cmd_velocity_map(args) -> int:
     xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
 
     state = initial_state(cfg)
-    shift = galilean_shift(state)  # the adaptive reference depth
     rows = []
     for x in xs:
         for y in ys:
             with _usage():
-                s = velocity_at(state, x, y, shift)
+                s = velocity_at(state, x, y)
             rows.append((x, y, s.u, s.v, s.u - 2.0 * math.log(abs(y)) if y != 0.0 else float("nan")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

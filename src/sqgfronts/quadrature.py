@@ -55,18 +55,19 @@ trapezoid + tails quadrature, to rounding:
     smooth in c, so they are summed exactly at a few Chebyshev heights and
     interpolated to each target's height (`_strip_row_sums`); the number
     of heights follows from the nearest branch points c = +-i dx.
+    `velocity.normal_velocity_background` takes its strip row sums from
+    the same call, so no strip kernel runs on full rows.
 
-Every dense pair sum goes through `_pair_sum`: the kernels that depend on
-the front's heights, and the cross-checks kept as independent assemblies.
-The front kernels 1/sqrt(s^2 + dphi^2) and its contrast with 1/|s| are
-symmetric in (x, x'), so `nonlinear_term` and the front sum of
-`velocity.normal_velocity_background` evaluate them on triangular row
-blocks, each entry once. The strip kernels of
-`velocity.normal_velocity_background` depend on the target's own height
-and the anchored kernel of `velocity.normal_velocity_bmo` on the
-source's, so they are not symmetric and stay on full rows; the advective
-grouping `dynamics.rhs_galilean_form` stays on full rows as well, so that
-its agreement with `rhs` also checks the triangular accumulation.
+Every dense pair sum is a slope-contrast sum and goes through `_pair_sum`:
+the kernels that depend on the front's heights, and the cross-checks kept
+as independent assemblies. The front kernels 1/sqrt(s^2 + dphi^2) and its
+contrast with 1/|s| are symmetric in (x, x'), so `nonlinear_term` and the
+front sum of `velocity.normal_velocity_background` evaluate them on
+triangular row blocks, each entry once. The anchored kernel of
+`velocity.normal_velocity_bmo` depends on the source's height, so it is
+not symmetric and stays on full rows; the advective grouping
+`dynamics.rhs_galilean_form` stays on full rows as well, so that its
+agreement with `rhs` also checks the triangular accumulation.
 """
 
 from __future__ import annotations
@@ -228,17 +229,15 @@ def _separation(grid) -> np.ndarray:
     return sep
 
 
-def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None,
-              symmetric: bool = False) -> np.ndarray:
+def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False) -> np.ndarray:
     """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
 
     Returns, for every row i,
 
-        sum_{j != i} w_j (rho_i - rho_j) K_ij + w_i diag_i
+        sum_{j != i} w_j (rho_i - rho_j) K_ij
 
     evaluated as rho_i (K w)_i - (K (w rho))_i, so no rho-difference matrix is
-    formed. With rho None it returns the plain row sums
-    sum_{j != i} w_j K_ij + w_i diag_i.
+    formed.
 
     kernel_rows(i0, i1) returns rows i0:i1 of K as a fresh float array; the
     helper overwrites it and never reads its diagonal. The weight w_j is 1/2
@@ -249,15 +248,14 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None,
     computed once: the block adds its product to rows i0:i1 and its
     transpose beyond the block, K[i0:i1, i1:]^T (w, w rho)[i0:i1], to rows
     i1:n. The front-kernel sums (`nonlinear_term`, the front part of
-    `velocity.normal_velocity_background`) use it. Kernels that are not
-    symmetric stay on full rows: the strip kernels, whose height is the
-    target's, and the anchored kernel of `velocity.normal_velocity_bmo`,
-    which subtracts a per-source reference. So does the advective grouping
+    `velocity.normal_velocity_background`) use it. The anchored kernel of
+    `velocity.normal_velocity_bmo`, which subtracts a per-source reference,
+    is not symmetric and stays on full rows. So does the advective grouping
     `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
     full-row side of the standing checks on the triangular accumulation.
     """
     w = _trapezoid_weights(n) if ends else np.ones(n)
-    rhs = w if rho is None else np.column_stack((w, w * rho))
+    rhs = np.column_stack((w, w * rho))
     acc = np.zeros(rhs.shape)
     size = max(1, _BLOCK_ELEMENTS // n)
     for i0 in range(0, n, size):
@@ -269,15 +267,12 @@ def _pair_sum(kernel_rows, n: int, rho=None, *, ends: bool = False, diag=None,
         acc[i0:i1] += kern @ rhs[j0:]
         if symmetric:
             acc[i1:] += kern[:, i1 - i0:].T @ rhs[i0:i1]
-    out = acc if rho is None else rho * acc[:, 0] - acc[:, 1]
-    if diag is not None:
-        out += w * diag
-    return out
+    return rho * acc[:, 0] - acc[:, 1]
 
 
 def _even_row_sum(kernel: np.ndarray, diag=None) -> np.ndarray:
-    """O(n) form of `_pair_sum(..., ends=True, diag=diag)` with rho None,
-    for an even Toeplitz kernel K_ij = kernel[|i - j|].
+    """Trapezoid row sums sum_{j != i} w_j K_ij + w_i diag_i of an even
+    Toeplitz kernel K_ij = kernel[|i - j|], in O(n).
 
     kernel holds the n values by node offset 0..n-1 along its last axis (a
     stack of kernels gives a stack of row sums); kernel[..., 0] is not read.
@@ -349,13 +344,6 @@ def _front_kernel(phi_rows: np.ndarray, phi_cols: np.ndarray, s2: np.ndarray) ->
     k = np.subtract.outer(phi_rows, phi_cols)
     np.square(k, out=k)
     k += s2
-    np.sqrt(k, out=k)
-    return np.reciprocal(k, out=k)
-
-
-def _strip_kernel(c1: np.ndarray, s2: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Rows i0:i1 of 1/sqrt(s^2 + c1(x)^2), the strip kernel at each target's height."""
-    k = np.add(s2[i0:i1], np.square(c1[i0:i1])[:, None])
     np.sqrt(k, out=k)
     return np.reciprocal(k, out=k)
 

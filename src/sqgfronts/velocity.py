@@ -25,16 +25,19 @@ sample the reference cancels exactly, and `velocity_at` evaluates
 by trapezoid plus tails: u = -(trap(front - q) dx + E_probe(|y - phi_inf|)
 - E(1)) and v = -trap(rho * front) dx, with q = 1/sqrt(x'^2 + 1) and E the
 end terms below. q and E(1) depend on the grid alone and are built once
-per grid (`quadrature._unit_reference`); the field does not depend on h.
+per grid (`quadrature._unit_reference`). The field does not depend on h,
+so `velocity_at` takes the shift as an optional argument it does not read.
 
 Two independent routes to the front's normal velocity are kept deliberately
 separate (their agreement is an acceptance check, not an assumption):
 
   * normal_velocity_background: decompose the temperature field into a flat
     background strip plus the front perturbation; the strip contributes the
-    local factor -2 log(phi+h) phi_x.
+    local factor -2 log(phi+h) phi_x. Its front sum is a dense symmetric
+    pair sum; its strip row sums are the background audit's O(n m) ones.
   * normal_velocity_bmo: project the representative velocity on the upward
     normal, coupling the slope-contrast integral to the Galilean shift.
+    Its anchored front sum runs on full rows.
 
 All quadratures share the trapezoid + closed-form tails + Euler-Maclaurin
 endpoint treatment of `quadrature`, with the tails and endpoint terms from its
@@ -44,6 +47,7 @@ analogue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +65,8 @@ from .quadrature import (
     _front_kernel,
     _pair_sum,
     _separation,
-    _strip_kernel,
+    _strip_row_sums,
+    _trapezoid_weights,
     _unit_reference,
     resolve_depth,
 )
@@ -126,7 +131,7 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
 
 
-def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> VelocitySample:
+def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | None = None) -> VelocitySample:
     """Velocity sample at a point off the front.
 
     With the shift's anchored reference cancelled against its own integral
@@ -138,14 +143,17 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift) -> 
     with front = 1/sqrt((x - x')^2 + (y - phi')^2), the unit reference
     q = 1/sqrt(x'^2 + 1), and E the tails plus end correction of the
     probe-centered front kernel and of q (`quadrature._end_term`). So
-    `shift` is no longer read (the field does not depend on the depth h);
-    the argument stays for the callers that pass it.
+    `shift` is optional and not read (the field does not depend on the
+    depth h); the argument stays for the callers that pass one.
 
     The probe may sit outside the grid window in x; tails use the flat
-    continuation of the front. Raises if the probe is within one grid
-    spacing of the front graph.
+    continuation of the front. Raises if a coordinate is not finite or the
+    probe is within one grid spacing of the front graph.
     """
     _require_line(state, "velocity_at")
+    for name, value in (("x", x), ("y", y)):
+        if not math.isfinite(value):
+            raise ValueError(f"probe {name} = {value} is not finite")
     g = state.grid
     xs, dx = g.x, g.dx
     phi = state.phi
@@ -171,6 +179,9 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     Returns phi_t samples at the grid nodes: the slope-contrast integral
     against the front kernel, referenced to the strip kernel at the target's
     own height, minus the local strip term 2 log(phi+h) phi_x.
+
+    The front sum is a dense symmetric pair sum; the strip row sums come
+    from `quadrature._strip_row_sums`, as in the background audit.
     """
     _require_line(state, "normal_velocity_background")
     params = params or KernelParams()
@@ -184,19 +195,14 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     d1 = phi - c_inf
     diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
 
-    sep = _separation(g)
-    s2 = _by_offset(sep * sep, n)
-
-    def strip(i0, i1):
-        k = _strip_kernel(c1, s2, i0, i1)
-        return np.negative(k, out=k)
+    s2 = _by_offset(_separation(g) ** 2, n)
 
     # front kernel against the slope contrast, minus rho(x) times the strip row
-    # sum; the strip's node carries the smooth value -phi_x / c1
+    # sum, whose node carries the smooth value 1/c1
     front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), n, rho,
                       ends=True, symmetric=True)
-    own = _pair_sum(strip, n, ends=True, diag=-1.0 / c1)
-    out = (front + rho * own) * dx
+    strip = _strip_row_sums(g, c1) + _trapezoid_weights(n) / c1
+    out = (front - rho * strip) * dx
     b = _end_distances(g)
     star = out + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx)) + diag_coda
     return star - 2.0 * np.log(c1) * rho
@@ -376,14 +382,13 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     theta = _strip_temperature(coords, phi_cols, h, sigma)
     u_box, v_box = _riesz_at_probes(theta, d, rows, cols)
 
-    shift = galilean_shift(state, params)
     mism_u = 0.0
     mism_v = 0.0
     for p, ic in enumerate(cols):
         xg = float(coords[ic])
         for q, jc in enumerate(rows):
             yg = float(coords[jc])
-            sample = velocity_at(state, xg, yg, shift)
+            sample = velocity_at(state, xg, yg)
             u_line = sample.u - 2.0 * np.log(abs(yg + h))
             mism_u = max(mism_u, abs(float(u_box[q, p]) - u_line))
             mism_v = max(mism_v, abs(float(v_box[q, p]) - sample.v))

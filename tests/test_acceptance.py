@@ -129,7 +129,7 @@ def test_criterion_05_derivation_equivalence():
 
 def test_criterion_06_far_field_log_law():
     front = ("gaussian", dict(amplitude=0.5, width=2.0, center=1.3))
-    u_errs, v_errs = measure_log_law(1024, front, (0.0,), (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), h=1.0)
+    u_errs, v_errs = measure_log_law(1024, front, (0.0,), (1e2, 1e3, 1e4, -1e2, -1e3, -1e4))
     # one row per sign of y, |y| = 1e2, 1e3, 1e4 along it
     errs = np.concatenate([u_errs.reshape(2, 3), v_errs.reshape(2, 3)])
     worst_mid = float(np.max(errs[:, 1]))
@@ -139,7 +139,7 @@ def test_criterion_06_far_field_log_law():
 
 
 def test_criterion_07_hilbert_pair_flat_front():
-    u_errs, v_errs = measure_log_law(1024, None, (0.0, 1.7, -4.0), (-50.0, -10.0, -2.0, 0.5, 3.0, 50.0), h=1.0)
+    u_errs, v_errs = measure_log_law(1024, None, (0.0, 1.7, -4.0), (-50.0, -10.0, -2.0, 0.5, 3.0, 50.0))
     worst = max(u_errs.max(), v_errs.max())
     ok = worst <= 1e-10
     _report(7, "flat front gives the exact log pair", ok,

@@ -37,7 +37,6 @@ from sqgfronts.quadrature import (
     _even_row_sum,
     _pair_sum,
     _separation,
-    _strip_kernel,
 )
 from test_acceptance import FRONTS
 
@@ -227,23 +226,22 @@ def test_cosine_integral_truncation_sweep():
         cosine_integral_constant(inner=10.0)
 
 
-def _direct_pair_sum(kern, rho, ends, diag):
-    # broadcast double sum with the trapezoid end weights; the diagonal is
-    # replaced by diag
+def _direct_pair_sum(kern, rho, ends, diag=0.0):
+    # broadcast double sum with the trapezoid end weights: the slope-contrast
+    # sum, or with rho None the plain row sum; the diagonal is replaced by diag
     n = kern.shape[0]
-    w = np.ones((n, n))
+    w = np.ones(n)
     if ends:
-        w[:, [0, -1]] = 0.5
+        w[[0, -1]] = 0.5
     k0 = kern.copy()
     np.fill_diagonal(k0, 0.0)
     pair = k0 if rho is None else (rho[:, None] - rho[None, :]) * k0
-    return (w * pair).sum(axis=1) + np.diag(w) * diag
+    return (w * pair).sum(axis=1) + w * diag
 
 
 @pytest.mark.parametrize("ends", [False, True])
 @pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
-@pytest.mark.parametrize("contrast", [True, False])
-def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast):
+def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows):
     # rows per block on a 40-node grid: one block (None), one row per block,
     # and sizes that leave a short last block
     n = 40
@@ -251,23 +249,21 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
     rng = np.random.default_rng(7)
     kern = rng.standard_normal((n, n))
-    rho = rng.standard_normal(n) if contrast else None
-    diag = rng.standard_normal(n)
+    rho = rng.standard_normal(n)
 
     def rows(i0, i1):
         block = kern[i0:i1].copy()
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block
 
-    got = _pair_sum(rows, n, rho, ends=ends, diag=diag)
-    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends, diag))) < 1e-13
+    got = _pair_sum(rows, n, rho, ends=ends)
+    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
 @pytest.mark.parametrize("ends", [False, True])
 @pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
-@pytest.mark.parametrize("contrast", [True, False])
 @pytest.mark.parametrize("n", [40, 41])
-def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast, n):
+def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, n):
     # triangular row blocks: one block (None), one row per block, and sizes
     # that leave a short last block on an even and an odd grid
     if block_rows is not None:
@@ -275,8 +271,7 @@ def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_r
     rng = np.random.default_rng(11)
     kern = rng.standard_normal((n, n))
     kern += kern.T
-    rho = rng.standard_normal(n) if contrast else None
-    diag = rng.standard_normal(n)
+    rho = rng.standard_normal(n)
 
     def upper_rows(i0, i1):
         block = kern[i0:i1].copy()
@@ -284,8 +279,8 @@ def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_r
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:]
 
-    got = _pair_sum(upper_rows, n, rho, ends=ends, diag=diag, symmetric=True)
-    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends, diag))) < 1e-13
+    got = _pair_sum(upper_rows, n, rho, ends=ends, symmetric=True)
+    assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
 @pytest.mark.parametrize("periodic, n", [(True, 512), (False, 2048)])
@@ -302,7 +297,7 @@ def test_nonlinear_term_triangular_matches_full_rows(monkeypatch, periodic, n):
     triangular = nonlinear_term(st, phix)
     pair_sum = quadrature._pair_sum
 
-    def full_rows(kernel_rows, n, rho=None, *, symmetric=False, **kw):
+    def full_rows(kernel_rows, n, rho, *, symmetric=False, **kw):
         assert symmetric
         whole = kernel_rows(0, n)
         return pair_sum(lambda i0, i1: whole[i0:i1].copy(), n, rho, **kw)
@@ -341,13 +336,12 @@ def test_offset_view_is_read_only():
 
 def test_even_row_sum_matches_dense_row_sum():
     # the linear term's reference row sums, O(n) prefix form against the
-    # dense helper
+    # direct double sum
     g = make_grid(-30.0, 60.0, 1024)
     n = g.n
     sep = _separation(g)
     ref = -1.0 / np.hypot(sep, 1.0)
-    view = _by_offset(ref, n)
-    want = _pair_sum(lambda i0, i1: view[i0:i1].copy(), n, ends=True, diag=-1.0)
+    want = _direct_pair_sum(_by_offset(ref, n), None, True, -1.0)
     got = _even_row_sum(ref[n - 1:], diag=-1.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -379,33 +373,27 @@ def test_end_term_closes_the_line_integral(x0):
 def _linear_term_dense(state, phix):
     # linear_term_quadrature as a dense pair sum: the bare kernel 1/|s| on
     # full rows against the slope contrast, the recentered reference row sum
-    # by the same helper
+    # as a direct double sum
     g = state.grid
     n, dx = g.n, g.dx
     sep = _separation(g)
     inv_s = _by_offset(1.0 / sep, n)
     bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, phix, ends=True)
-    ref = _by_offset(-1.0 / np.hypot(sep, 1.0), n)
-    own = _pair_sum(lambda i0, i1: ref[i0:i1].copy(), n, ends=True, diag=-1.0)
+    own = _direct_pair_sum(_by_offset(-1.0 / np.hypot(sep, 1.0), n), None, True, -1.0)
     b = _end_distances(g)
     return ((bare + phix * own) * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
             + _diagonal_jump_correction("bare", phix, dx, periodic=False))
 
 
 def _background_term_dense(state, phix, params):
-    # background_term as a dense pair sum: the anchored unit reference less
-    # the strip kernel at each target's height, on full rows
+    # background_term as a direct double sum: the anchored unit reference
+    # less the strip kernel at each target's height, on full rows
     g = state.grid
     x, n, dx = g.x, g.n, g.dx
     c1 = state.phi + resolve_depth(state, params)
     q = 1.0 / np.hypot(x, 1.0)
-    s2 = _by_offset(_separation(g) ** 2, n)
-
-    def strip(i0, i1):
-        k = _strip_kernel(c1, s2, i0, i1)
-        return np.subtract(q, k, out=k)
-
-    out = _pair_sum(strip, n, ends=True, diag=q - 1.0 / c1) * dx
+    strip = 1.0 / np.sqrt(_by_offset(_separation(g) ** 2, n) + np.square(c1)[:, None])
+    out = _direct_pair_sum(q - strip, None, True, q - 1.0 / c1) * dx
     ends = _end_term(x[-1], -x[0], 1.0, dx) - _end_term(x[-1] - x, x - x[0], c1, dx)
     return phix * (out + ends - 2.0 * np.log(c1))
 

@@ -23,11 +23,21 @@ from sqgfronts import (
     make_state,
     normal_velocity_background,
     normal_velocity_bmo,
+    resolve_depth,
+    velocity,
     velocity_at,
 )
 from sqgfronts.cli import measure_log_law, measure_velocity_routes
 from test_acceptance import FRONTS
-from sqgfronts.quadrature import _log_w_plus_root
+from test_quadrature import _direct_pair_sum
+from sqgfronts.quadrature import (
+    _by_offset,
+    _diagonal_jump_correction,
+    _end_distances,
+    _end_term,
+    _log_w_plus_root,
+    _separation,
+)
 from sqgfronts.velocity import _SMOOTHING_CELLS, _riesz_at_probes, _strip_temperature
 
 ORACLE_UBAR = -0.6131062346376577
@@ -126,6 +136,61 @@ def test_periodic_state_rejected():
 def test_normal_velocity_routes_agree():
     # strip-referenced route vs representative-velocity route
     assert measure_velocity_routes(1200, [GAUSSIAN], 1.0)[0] < 1e-6
+
+
+def _normal_velocity_background_dense(state, depths):
+    # normal_velocity_background at each depth h in `depths`, with both sums
+    # as direct double sums on full rows: the front kernel against the slope
+    # contrast (the same at every depth), less rho(x) times the strip
+    # kernel's row sum at each target's height, whose node carries 1/c1
+    g = state.grid
+    n, dx = g.n, g.dx
+    phi, rho = state.phi, state.slope
+    s2 = _by_offset(_separation(g) ** 2, n)
+    front = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(np.subtract.outer(phi, phi))), rho, True)
+    b = _end_distances(g)
+    front_end = _end_term(*b, phi - far_field_value(state), dx)
+    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
+    out = []
+    for h in depths:
+        c1 = phi + resolve_depth(state, KernelParams(h=h))
+        strip = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(c1)[:, None]), None, True, 1.0 / c1)
+        star = (front - rho * strip) * dx + rho * (front_end - _end_term(*b, c1, dx)) + diag_coda
+        out.append(star - 2.0 * np.log(c1) * rho)
+    return out
+
+
+@pytest.mark.parametrize("x_min", [-30.0, 10.0])
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("front", FRONTS)
+def test_normal_velocity_background_matches_dense_strip(front, n, x_min):
+    # the strip row sums interpolated in the height against the dense
+    # assembly; on [10, 70) the front moves to the window's middle. h = 0.31
+    # puts the lowest strip height as low as 0.01, below dx, where the
+    # interpolation needs the most heights
+    family, params = front
+    params = dict(params, center=params.get("center", 0.0) + x_min + 30.0)
+    g = make_grid(x_min, 60.0, n)
+    st = make_state(g, front_profile(g.x, family, **params)[0])
+    depths = (None, 1.0, 2.5, 5.0, 0.31)
+    for h, want in zip(depths, _normal_velocity_background_dense(st, depths)):
+        got = normal_velocity_background(st, KernelParams(h=h))
+        assert np.max(np.abs(got - want)) <= 1e-13  # 1.5e-14 measured
+
+
+def test_normal_velocity_background_takes_one_symmetric_pair_sum(monkeypatch):
+    # the front sum is the route's only dense pass; its strip row sums are
+    # the background audit's
+    calls = []
+    pair_sum = velocity._pair_sum
+
+    def record(*args, **kwargs):
+        calls.append(kwargs.get("symmetric", False))
+        return pair_sum(*args, **kwargs)
+
+    monkeypatch.setattr(velocity, "_pair_sum", record)
+    normal_velocity_background(_state(n=512), KernelParams(h=1.0))
+    assert calls == [True]
 
 
 def test_normal_velocity_h_independent():
@@ -246,13 +311,22 @@ def test_velocity_at_matches_anchored_reference_form(n, front):
 
 
 def test_velocity_at_reads_no_shift():
-    # the samples are the same, bit for bit, whatever depth the shift has
+    # the samples are the same, bit for bit, whatever depth the shift has,
+    # and without one
     st = _state(n=512, amplitude=-0.3, width=1.5, center=3.0)
     shifts = [galilean_shift(st, KernelParams(h=h)) for h in (None, 1.0, 2.5)]
     assert len({sh.h for sh in shifts}) == 3
     for x, y in ((0.5, 3.0), (3.0, -5.0), (-40.0, 1.2)):
         samples = {velocity_at(st, x, y, sh) for sh in shifts}
-        assert len(samples) == 1
+        assert samples == {velocity_at(st, x, y)}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("coordinate", ["x", "y"])
+def test_velocity_at_refuses_non_finite_probes(coordinate, value):
+    probe = {"x": 0.0, "y": 3.0, coordinate: value}
+    with pytest.raises(ValueError, match=f"probe {coordinate} = "):
+        velocity_at(_state(n=256), **probe)
 
 
 def test_riesz_at_probes_matches_full_inverse_transform():
