@@ -241,9 +241,11 @@ def _direct_pair_sum(kern, rho, ends, diag=0.0):
 
 @pytest.mark.parametrize("ends", [False, True])
 @pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
-def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows):
+@pytest.mark.parametrize("contrast", [True])
+def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast):
     # rows per block on a 40-node grid: one block (None), one row per block,
-    # and sizes that leave a short last block
+    # and sizes that leave a short last block; the slope-contrast sum is the
+    # one mode _pair_sum has, and its axis keeps the case ids stable
     n = 40
     if block_rows is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
@@ -262,10 +264,12 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows):
 
 @pytest.mark.parametrize("ends", [False, True])
 @pytest.mark.parametrize("block_rows", [None, 1, 7, 25])
+@pytest.mark.parametrize("contrast", [True])
 @pytest.mark.parametrize("n", [40, 41])
-def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, n):
+def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast, n):
     # triangular row blocks: one block (None), one row per block, and sizes
-    # that leave a short last block on an even and an odd grid
+    # that leave a short last block on an even and an odd grid; the
+    # slope-contrast sum is the one mode, its axis keeps the case ids stable
     if block_rows is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
     rng = np.random.default_rng(11)
