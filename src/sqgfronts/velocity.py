@@ -57,6 +57,7 @@ from scipy.special import erf
 from .grid import FrontState, far_field_value
 from .quadrature import (
     KernelParams,
+    _BLOCK_ELEMENTS,
     _by_offset,
     _diagonal_jump_correction,
     _end_distances,
@@ -254,7 +255,8 @@ class BoxSpec:
 
     size : side length (the box is [-size/2, size/2)^2)
     n : nodes per side
-    probe_x, probe_y : probe coordinates, combined as a product; every probe
+    probe_x, probe_y : probe coordinates, combined as a product; each tuple
+        is non-empty, every value lies in [-size/2, size/2), and every probe
         must sit away from the strip
     """
 
@@ -268,39 +270,66 @@ class BoxSpec:
             raise ValueError(f"box size must be positive, got {self.size}")
         if self.n < 16 or self.n % 2:
             raise ValueError(f"box n must be even and >= 16, got {self.n}")
+        half = 0.5 * self.size
+        for name in ("probe_x", "probe_y"):
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise ValueError(f"{name} is empty: the check would compare no probe")
+            for value in values:
+                # a value outside the box would snap to an edge node unnoticed
+                if not (math.isfinite(value) and -half <= value < half):
+                    raise ValueError(f"{name} = {value} is not a finite coordinate in the box [{-half}, {half})")
 
 
-def _riesz_at_probes(theta: np.ndarray, d: float, rows, cols):
+def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows, cols):
     """Perpendicular-Riesz velocity of a periodic field, at probe nodes only.
 
-    theta is a real n x n field of spacing d, rows along y. Returns the
-    (len(rows), len(cols)) arrays u = ifft2(-i ky/|k| theta_hat) and
-    v = ifft2(i kx/|k| theta_hat) at the nodes (rows[q], cols[p]). The
-    transform is the real half-spectrum (kx >= 0); the zero mode and the
-    Nyquist row and column are dropped, since an unpaired Nyquist mode would
-    break the reality of the fields. The inverse is two small products: the
-    half spectrum against a column matrix carrying the Hermitian weights
-    (1 at kx = 0, 2 otherwise), then a row matrix against that.
+    The real n x n field theta (spacing d, rows along y) is given by rows:
+    row j is the constant flat[j], plus band[j - j0] on the band rows
+    j0 <= j < j0 + len(band), where flat is 0. Returns the (len(rows),
+    len(cols)) arrays u = ifft2(-i ky/|k| theta_hat) and v = ifft2(i kx/|k|
+    theta_hat) at the nodes (rows[q], cols[p]); the field itself is never
+    formed. The transform is the real half-spectrum (kx >= 0); the zero mode
+    and the Nyquist row and column are dropped, since an unpaired Nyquist
+    mode would break the reality of the fields.
+
+    A constant row has only the kx = 0 mode, n flat[j], so only the band rows
+    are transformed along x. The y transform runs by FFT over blocks of kx
+    columns, zero outside the band, of _BLOCK_ELEMENTS entries each: memory
+    is O(n (len(band) + block)), not O(n^2). Each block is divided by |k|
+    and contracted with a column matrix carrying the Hermitian weights (1 at
+    kx = 0, 2 otherwise); a row matrix against the sum finishes the inverse.
     """
-    n = theta.shape[0]
+    n = flat.size
     half = n // 2
-    spec = np.fft.rfft2(theta)
     my = np.fft.ifftshift(np.arange(-half, half))
-    mx = np.arange(half + 1)
+    mx = np.arange(half)  # the Nyquist column is never carried
     dk = 2.0 * np.pi / (n * d)
     ky, kx = dk * my, dk * mx
-    kmag = np.hypot(kx[None, :], ky[:, None])
-    kmag[0, 0] = 1.0
-    spec /= kmag
-    spec[0, 0] = 0.0
-    spec[half, :] = 0.0
-    spec[:, half] = 0.0
+    ky2 = ky * ky
+    ky2[half] = np.inf  # 1/|k| = 0 drops the Nyquist row
 
     # phases exp(2 pi i m j / n) at node offsets j, reduced exactly mod n
     phase = lambda m, j: np.exp(2.0j * np.pi * (np.multiply.outer(m, j) % n / n))
     col = phase(mx, np.asarray(cols))
     col[1:] *= 2.0
-    part = spec @ np.hstack((col, 1.0j * kx[:, None] * col))
+    col = np.hstack((col, 1.0j * kx[:, None] * col))
+
+    band_x = np.fft.rfft(band)
+    part = np.zeros((n, col.shape[1]), dtype=complex)
+    width = max(1, _BLOCK_ELEMENTS // n)
+    for c0 in range(0, half, width):
+        c1 = min(half, c0 + width)
+        spec = np.zeros((n, c1 - c0), dtype=complex)
+        spec[j0:j0 + len(band)] = band_x[:, c0:c1]
+        k2 = np.add.outer(ky2, kx[c0:c1] ** 2)
+        if c0 == 0:
+            spec[:, 0] += n * flat
+            k2[0, 0] = np.inf  # the zero mode
+        np.fft.fft(spec, axis=0, out=spec)
+        k2 **= -0.5
+        spec *= k2
+        part += spec @ col[c0:c1]
     p = len(cols)
     part[:, :p] *= -1.0j * ky[:, None]
     fields = (phase(np.asarray(rows), my) @ part).real / (n * n)
@@ -311,43 +340,47 @@ def _riesz_at_probes(theta: np.ndarray, d: float, rows, cols):
 _ERF_SATURATES = 6.0
 
 
-def _strip_temperature(coords: np.ndarray, phi_cols: np.ndarray, h: float, sigma: float) -> np.ndarray:
-    """Smoothed strip field theta = -2pi step(y + h) step(phi - y) on the box.
+def _strip_temperature(coords: np.ndarray, phi_cols: np.ndarray, h: float, sigma: float):
+    """Smoothed strip field theta = -2pi step(y + h) step(phi - y), by rows.
 
     step(t) = (1 + erf(t / (sqrt2 sigma))) / 2; rows are y = coords, columns
-    carry the front heights phi_cols. The front step is evaluated only on the
-    rows within _ERF_SATURATES scales of [min phi_cols, max phi_cols]: below
-    that band erf is exactly 1 and the step 1, above it exactly 0, so the
-    field equals the one evaluated at every node bit for bit.
+    carry the front heights phi_cols. Returns (flat, band, j0). The front
+    step is evaluated only on the band rows j0 <= j < j0 + len(band), within
+    _ERF_SATURATES scales of [min phi_cols, max phi_cols]: below the band
+    erf is exactly 1 and the step 1, above it exactly 0. So every other row
+    of theta is the constant flat[j] (flat is 0 on the band rows), band
+    holds the band rows, and the field they make equals the one evaluated at
+    every node bit for bit. The n x n field is never formed: memory is
+    O(n len(band)).
     """
     scale = np.sqrt(2.0) * sigma
     reach = _ERF_SATURATES * scale
     j0 = int(np.searchsorted(coords, np.min(phi_cols) - reach, side="left"))
     j1 = int(np.searchsorted(coords, np.max(phi_cols) + reach, side="right"))
-    theta = np.empty((coords.size, phi_cols.size))
-    theta[:j0] = 1.0
-    theta[j1:] = 0.0
-    band = theta[j0:j1]
-    np.subtract(phi_cols[None, :], coords[j0:j1, None], out=band)
+    depth = -2.0 * np.pi * (0.5 * (1.0 + erf((coords + h) / scale)))
+    band = np.subtract(phi_cols[None, :], coords[j0:j1, None])
     band /= scale
     erf(band, out=band)
     band += 1.0
     band *= 0.5
-    theta *= -2.0 * np.pi * (0.5 * (1.0 + erf((coords[:, None] + h) / scale)))
-    return theta
+    band *= depth[j0:j1, None]
+    depth[j0:] = 0.0
+    return depth, band, j0
 
 
 def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams | None = None) -> dict:
     """Velocity of the strip temperature field by 2D FFT vs line quadrature.
 
-    Builds theta = -2pi on the strip between depth -h and the front graph on
+    Takes theta = -2pi on the strip between depth -h and the front graph on
     a periodic box and applies the perpendicular-Riesz multiplier
     i k_perp/|k| on its real half-spectrum, with the zero mode and the
-    Nyquist row and column dropped. The fields are evaluated at the probe
-    nodes only (see _riesz_at_probes). u is compared against the quadrature
-    velocity minus the flat-background profile 2 log|y+h|, v against the
-    quadrature v, at probes away from the front. Returns a report dict with
-    the sup mismatch.
+    Nyquist row and column dropped. The n x n field and its spectrum are
+    never formed: theta is held as per-row constants plus the band rows the
+    front crosses (_strip_temperature), and the fields are evaluated at the
+    probe nodes only (_riesz_at_probes), so memory is O(n band rows). u is
+    compared against the quadrature velocity minus the flat-background
+    profile 2 log|y+h|, v against the quadrature v, at probes away from the
+    front. Returns a report dict with the sup mismatch.
 
     Periodic images contribute O(h*y/size^2) systematic error; doubling the
     box at fixed cell size halves it (better, in practice).
@@ -379,8 +412,7 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     phi_cols = spline(coords)
     phi_cols = np.where(np.isnan(phi_cols), c_inf, phi_cols)
 
-    theta = _strip_temperature(coords, phi_cols, h, sigma)
-    u_box, v_box = _riesz_at_probes(theta, d, rows, cols)
+    u_box, v_box = _riesz_at_probes(*_strip_temperature(coords, phi_cols, h, sigma), d, rows, cols)
 
     mism_u = 0.0
     mism_v = 0.0

@@ -7,6 +7,8 @@ center 0) with reference depth h = 1. The integration line was split at the
 probe abscissa and the edges of the numerically relevant support.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -229,6 +231,24 @@ def test_box_spec_validation():
         BoxSpec(size=40.0, n=10)
 
 
+@pytest.mark.parametrize("probes, name", [
+    (dict(probe_x=(100.0,)), "probe_x"),
+    (dict(probe_x=(0.0, -40.5)), "probe_x"),
+    (dict(probe_y=(5.0, 40.0)), "probe_y"),
+    (dict(probe_x=(np.nan,)), "probe_x"),
+    (dict(probe_y=(np.inf,)), "probe_y"),
+    (dict(probe_y=(-np.inf,)), "probe_y"),
+    (dict(probe_x=()), "probe_x"),
+    (dict(probe_y=()), "probe_y"),
+])
+def test_box_spec_refuses_probes_outside_the_box(probes, name):
+    # such a probe would snap to an edge node, and an empty tuple would
+    # report a pass over no probe at all
+    with pytest.raises(ValueError, match=f"^{name} "):
+        BoxSpec(size=80.0, n=256, **probes)
+    BoxSpec(size=80.0, n=256, probe_x=(-40.0, 39.9), probe_y=(-40.0, 39.9))
+
+
 def test_box_crosscheck_flat_strip():
     g = make_grid(-30.0, 60.0, 1024)
     st = make_state(g, np.zeros(1024))
@@ -329,37 +349,74 @@ def test_velocity_at_refuses_non_finite_probes(coordinate, value):
         velocity_at(_state(n=256), **probe)
 
 
+def _assemble(flat, band, j0):
+    theta = np.repeat(flat[:, None], flat.size, axis=1)
+    theta[j0:j0 + len(band)] = band
+    return theta
+
+
+def _box_fields_dense(flat, band, j0, d, rows, cols):
+    # the full-field transform: assemble theta, take its real half-spectrum
+    # by rfft2 and divide by |k| over the whole spectrum
+    theta = _assemble(flat, band, j0)
+    n = theta.shape[0]
+    half = n // 2
+    spec = np.fft.rfft2(theta)
+    my = np.fft.ifftshift(np.arange(-half, half))
+    mx = np.arange(half + 1)
+    dk = 2.0 * np.pi / (n * d)
+    ky, kx = dk * my, dk * mx
+    kmag = np.hypot(kx[None, :], ky[:, None])
+    kmag[0, 0] = 1.0
+    spec /= kmag
+    spec[0, 0] = 0.0
+    spec[half, :] = 0.0
+    spec[:, half] = 0.0
+    phase = lambda m, j: np.exp(2.0j * np.pi * (np.multiply.outer(m, j) % n / n))
+    col = phase(mx, np.asarray(cols))
+    col[1:] *= 2.0
+    part = spec @ np.hstack((col, 1.0j * kx[:, None] * col))
+    p = len(cols)
+    part[:, :p] *= -1.0j * ky[:, None]
+    fields = (phase(np.asarray(rows), my) @ part).real / (n * n)
+    return fields[:, :p], fields[:, p:]
+
+
 def test_riesz_at_probes_matches_full_inverse_transform():
     n, d = 256, 0.3
     rng = np.random.default_rng(11)
-    theta = rng.standard_normal((n, n))
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
     ky, kx = k[:, None], k[None, :]
     kmag = np.hypot(kx, ky)
     kmag[0, 0] = 1.0
-    theta_hat = np.fft.fft2(theta) / kmag
-    theta_hat[0, 0] = 0.0
-    theta_hat[n // 2, :] = 0.0
-    theta_hat[:, n // 2] = 0.0
-    u_full = np.fft.ifft2(-1.0j * ky * theta_hat).real
-    v_full = np.fft.ifft2(1.0j * kx * theta_hat).real
-    nodes = np.arange(n)
-    u, v = _riesz_at_probes(theta, d, nodes, nodes)
-    assert np.max(np.abs(u - u_full)) <= 1e-12
-    assert np.max(np.abs(v - v_full)) <= 1e-12
-    # a probe subset, in any order and with repeats, reads the same nodes
-    rows, cols = [200, 3, 3, 128], [255, 0, 77]
-    u_sub, v_sub = _riesz_at_probes(theta, d, rows, cols)
-    assert np.max(np.abs(u_sub - u_full[np.ix_(rows, cols)])) <= 1e-12
-    assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
+    # the whole field as the band, then constant rows around a band at j0 > 0
+    flat = rng.standard_normal(n)
+    flat[90:130] = 0.0
+    for flat, band, j0 in ((np.zeros(n), rng.standard_normal((n, n)), 0),
+                           (flat, rng.standard_normal((40, n)), 90)):
+        theta_hat = np.fft.fft2(_assemble(flat, band, j0)) / kmag
+        theta_hat[0, 0] = 0.0
+        theta_hat[n // 2, :] = 0.0
+        theta_hat[:, n // 2] = 0.0
+        u_full = np.fft.ifft2(-1.0j * ky * theta_hat).real
+        v_full = np.fft.ifft2(1.0j * kx * theta_hat).real
+        nodes = np.arange(n)
+        u, v = _riesz_at_probes(flat, band, j0, d, nodes, nodes)
+        assert np.max(np.abs(u - u_full)) <= 1e-12
+        assert np.max(np.abs(v - v_full)) <= 1e-12
+        # a probe subset, in any order and with repeats, reads the same nodes
+        rows, cols = [200, 3, 3, 128], [255, 0, 77]
+        u_sub, v_sub = _riesz_at_probes(flat, band, j0, d, rows, cols)
+        assert np.max(np.abs(u_sub - u_full[np.ix_(rows, cols)])) <= 1e-12
+        assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [256, 1024])
 @pytest.mark.parametrize("amplitude", [0.5, -0.4])
 def test_strip_temperature_band_matches_every_node(n, amplitude):
     # the front step is evaluated on a band of rows only; outside it erf
-    # saturates, so the field and the probe velocities match the evaluation
-    # at all n^2 nodes bit for bit
+    # saturates, so the rows reassemble the field evaluated at all n^2 nodes
+    # bit for bit, and the probe velocities match its dense transform
     box = BoxSpec(size=80.0, n=n)
     d = box.size / n
     coords = -0.5 * box.size + d * np.arange(n)
@@ -369,9 +426,61 @@ def test_strip_temperature_band_matches_every_node(n, amplitude):
     yy = coords[:, None]
     want = 0.5 * (1.0 + erf((phi_cols[None, :] - yy) / scale))
     want *= -2.0 * np.pi * (0.5 * (1.0 + erf((yy + h) / scale)))
-    theta = _strip_temperature(coords, phi_cols, h, sigma)
-    assert np.array_equal(theta, want)
+    flat, band, j0 = _strip_temperature(coords, phi_cols, h, sigma)
+    assert np.all(flat[j0:j0 + len(band)] == 0.0)
+    assert np.array_equal(_assemble(flat, band, j0), want)
     rows = [int(np.argmin(np.abs(coords - y))) for y in box.probe_y]
     cols = [int(np.argmin(np.abs(coords - x))) for x in box.probe_x]
-    for got, ref in zip(_riesz_at_probes(theta, d, rows, cols), _riesz_at_probes(want, d, rows, cols)):
-        assert np.array_equal(got, ref)
+    got = _riesz_at_probes(flat, band, j0, d, rows, cols)
+    for got, ref in zip(got, _box_fields_dense(flat, band, j0, d, rows, cols)):
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+_BOX_FRONTS = [
+    (("gaussian", dict(amplitude=0.5, width=2.0, center=0.0)), {}),
+    # the adaptive depth 1.8 puts y = -5 within the margin of the 256^2 box
+    (("gaussian", dict(amplitude=-0.4, width=2.0, center=0.3)), dict(probe_y=(-12.0, -8.0, 5.0, 8.0, 12.0))),
+    (("poly_bump", dict(amplitude=0.3, width=6.0, center=-2.0)), {}),
+    (("zero", {}), {}),
+    (("gaussian", dict(amplitude=12.0, width=2.0, center=1.0)), dict(probe_y=(-8.0, 20.0, 30.0))),
+]
+
+
+@pytest.mark.parametrize("h", [1.0, None])
+@pytest.mark.parametrize("size, n", [(80.0, 256), (80.0, 1024), (160.0, 2048)])
+@pytest.mark.parametrize("front, probes", _BOX_FRONTS)
+def test_box_band_transform_matches_dense_field(monkeypatch, front, probes, size, n, h):
+    # the check's band-row transform against the full-field transform of the
+    # same strip field, at its probes and in its report
+    g = make_grid(-30.0, 60.0, 1024)
+    st = make_state(g, front_profile(g.x, front[0], **front[1])[0])
+    box, p = BoxSpec(size=size, n=n, **probes), KernelParams(h=h)
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _riesz_at_probes(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(velocity, "_riesz_at_probes", spy)
+    report = box_riesz_crosscheck(st, box, p)
+    monkeypatch.setattr(velocity, "_riesz_at_probes", _box_fields_dense)
+    dense = box_riesz_crosscheck(st, box, p)
+    ((args, fields),) = calls
+    for got, ref in zip(fields, _box_fields_dense(*args)):
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    for key in ("sup", "u", "v"):
+        assert abs(report[key] - dense[key]) <= 1e-14
+    assert report["probes"] == dense["probes"] == len(box.probe_x) * len(box.probe_y)
+
+
+def test_box_crosscheck_memory_stays_off_the_n2_field():
+    # the 2048^2 box held the field and its half-spectrum: 96 MB of peak
+    # allocations; the band rows and one kx block take a few MB
+    st = _state(n=1024)
+    tracemalloc.start()
+    try:
+        box_riesz_crosscheck(st, BoxSpec(size=160.0, n=2048), KernelParams(h=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
