@@ -326,7 +326,7 @@ def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows
         if c0 == 0:
             spec[:, 0] += n * flat
             k2[0, 0] = np.inf  # the zero mode
-        np.fft.fft(spec, axis=0, out=spec)
+        spec = np.fft.fft(spec, axis=0)
         k2 **= -0.5
         spec *= k2
         part += spec @ col[c0:c1]

@@ -267,9 +267,11 @@ def test_box_crosscheck_bump_and_image_decay():
 
 
 def test_box_too_small_rejected():
+    # in-box probes, so the size guard rather than BoxSpec's probe check fires
     st = _state(n=1024)
-    with pytest.raises(ValueError):
-        box_riesz_crosscheck(st, BoxSpec(size=4.0, n=64), KernelParams(h=1.0))
+    box = BoxSpec(size=4.0, n=64, probe_x=(0.0,), probe_y=(1.9,))
+    with pytest.raises(ValueError, match="box too small"):
+        box_riesz_crosscheck(st, box, KernelParams(h=1.0))
 
 
 def test_box_probe_inside_strip_rejected():
