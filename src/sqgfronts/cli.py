@@ -19,8 +19,9 @@ record holds name, measured, tolerance, passed and wall_s.
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 config error (including a numeric flag out of range). Config files are JSON;
 schema errors are reported with field paths. CSV bodies are deterministic
-for a fixed config; manifests add wall time (excluded from the determinism
-contract).
+for a fixed config, and bit-identical whatever the number of cores the dense
+pair sums run on; manifests add wall time and that core count (both excluded
+from the determinism contract).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .grid import (
     make_state,
 )
 from .halfspace import HalfSpacePoint, boundary_stream, harmonic_extension, stream_function
-from .quadrature import KernelParams, background_term, cosine_integral_constant, scale_identity
+from .quadrature import KernelParams, _usable_cores, background_term, cosine_integral_constant, scale_identity
 from .velocity import galilean_shift, normal_velocity_background, normal_velocity_bmo, velocity_at
 
 
@@ -473,7 +474,7 @@ def cmd_simulate(args) -> int:
         files.append(name)
     write_manifest(out / "manifest.json", {
         "command": "simulate", "version": __version__, "config": raw,
-        "wall_time_s": wall, "dt": traj.dt, "steps": traj.steps, "aborted": traj.aborted, "snapshots": files,
+        "wall_time_s": wall, "cores": _usable_cores(), "dt": traj.dt, "steps": traj.steps, "aborted": traj.aborted, "snapshots": files,
         "drift_per_unit_time": {"mean": mean_drift, "l2": l2_drift}, "diagnostics": list(traj.diagnostics),
     })
     print(f"wrote {len(files)} snapshots to {out} ({wall:.2f} s)"
@@ -499,7 +500,7 @@ def cmd_verify(args) -> int:
             "command": "verify", "version": __version__,
             "suites": list(names), "tolerance_scale": args.tolerance_scale,
             "n_override": args.n, "dt_override": args.dt,
-            "wall_time_s": wall, "checks": all_checks, "passed": passed,
+            "wall_time_s": wall, "cores": _usable_cores(), "checks": all_checks, "passed": passed,
         })
     print(f"{'all checks passed' if passed else 'CHECK FAILURES'} ({wall:.2f} s)")
     return 0 if passed else 1

@@ -50,10 +50,10 @@ from .grid import (
 from .quadrature import (
     _by_offset,
     _diagonal_jump_correction,
+    _kernel_difference,
     _pair_sum,
     _separation,
     background_term,
-    kernel_difference,
     linear_term_quadrature,
     nonlinear_term,
 )
@@ -193,7 +193,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     sep = _by_offset(_separation(g), g.n)
 
     def opposing_kernel(i0, i1):
-        return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
+        return _kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
 
     opposing = _pair_sum(opposing_kernel, g.n, phix) * g.dx
 

@@ -68,13 +68,29 @@ triangular row blocks, each entry once. The anchored kernel of
 not symmetric and stays on full rows; the advective grouping
 `dynamics.rhs_galilean_form` stays on full rows as well, so that its
 agreement with `rhs` also checks the triangular accumulation.
+
+Parallel blocks. A call that forms more than `_PARALLEL_PAIRS` kernel
+entries runs its row blocks on every usable core: the calling thread and a
+thread pool, started on first use (and again in a forked child) with one
+worker held to each other core, claim the blocks in order, and only the
+blocks' products are kept. The calling thread adds every product into the
+row sums in block order, the order of the one-core loop, so the sums are
+bit-for-bit the same on any core count. Below the cutoff, which the
+symmetric n = 512 sum of the periodic backend stays under, the blocks run
+on the calling thread alone: there the threads' hand-offs of the GIL cost
+what the other cores save.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,6 +148,12 @@ def kernel_difference(delta_x, delta_phi):
     delta_phi = np.asarray(delta_phi, dtype=np.float64)
     if np.any(delta_x == 0.0):
         raise ValueError("kernel_difference is undefined at delta_x = 0")
+    return _kernel_difference(delta_x, delta_phi)
+
+
+def _kernel_difference(delta_x: np.ndarray, delta_phi: np.ndarray) -> np.ndarray:
+    """`kernel_difference` without the checks, for the pair-sum blocks: they
+    may run on pool threads, which call no public function."""
     return 1.0 / np.abs(delta_x) - 1.0 / np.hypot(delta_x, delta_phi)
 
 
@@ -229,6 +251,60 @@ def _separation(grid) -> np.ndarray:
     return sep
 
 
+# kernel entries above which a pair sum runs its row blocks on every usable
+# core (see _pair_sum): measured crossover of the one-core and threaded sums
+_PARALLEL_PAIRS = 200_000
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    """Cores the calling thread may run on; 1 where the OS does not say
+    (the pair sums then run on one core)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The pair-sum thread pool, started on first use: one worker for every
+    usable core but the first, each held to its own core."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = sorted(os.sched_getaffinity(0))
+            others = itertools.cycle(cores[1:] or cores)
+            _pool = ThreadPoolExecutor(max(1, len(cores) - 1), thread_name_prefix="sqgfronts-pair-sum",
+                                       initializer=lambda: os.sched_setaffinity(0, {next(others)}))
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads, so the
+    # inherited pool would wait forever, and the lock as it was at the fork;
+    # the child starts its own
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextmanager
+def _on_first_core():
+    """Hold the calling thread to its first usable core while the pool
+    workers run on the others. Unpinned threads that hand the GIL back and
+    forth end up on one core: the scheduler wakes the waiting thread on the
+    waker's core, and the threaded sum then measured no faster than one core."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cores)
+
+
 def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False) -> np.ndarray:
     """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
 
@@ -253,20 +329,68 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     is not symmetric and stays on full rows. So does the advective grouping
     `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
     full-row side of the standing checks on the triangular accumulation.
+
+    Parallel blocks: a call whose blocks form more than `_PARALLEL_PAIRS`
+    kernel entries (rows x (n - i0) for a symmetric block, rows x n for a
+    full one) runs them on every usable core. This thread, held to its first
+    core meanwhile (`_on_first_core`), and one pool thread for each other
+    core claim the blocks in order, one at a time, so a core the host slows
+    down takes fewer. Each keeps its blocks' two products; this thread adds
+    them into the row sums in block order, each as soon as the blocks before
+    it are in. Every row sum thus takes the same additions in the same order
+    as on one core, so the result is bit-for-bit the one-core result.
+    kernel_rows then runs on pool threads too: it may only read shared
+    arrays, and it must call no public function of the package (a tracer
+    that wraps those keeps one span stack).
     """
     w = _trapezoid_weights(n) if ends else np.ones(n)
     rhs = np.column_stack((w, w * rho))
-    acc = np.zeros(rhs.shape)
     size = max(1, _BLOCK_ELEMENTS // n)
-    for i0 in range(0, n, size):
+    starts = range(0, n, size)
+    pairs = sum(min(size, n - i0) * (n - i0 if symmetric else n) for i0 in starts)
+    helpers = _usable_cores() - 1 if pairs > _PARALLEL_PAIRS else 0
+
+    def products(i0):
         i1 = min(n, i0 + size)
         j0 = i0 if symmetric else 0
         kern = kernel_rows(i0, i1)
         rows = np.arange(i1 - i0)
         kern[rows, rows + i0 - j0] = 0.0
-        acc[i0:i1] += kern @ rhs[j0:]
-        if symmetric:
-            acc[i1:] += kern[:, i1 - i0:].T @ rhs[i0:i1]
+        return kern @ rhs[j0:], kern[:, i1 - i0:].T @ rhs[i0:i1] if symmetric else None
+
+    acc = np.zeros(rhs.shape)
+    done = [None] * len(starts)
+    claims = itertools.count()  # shared: next() on it is atomic under the GIL
+    added = 0
+
+    def take(err, then=None):
+        with np.errstate(**err):  # the caller's floating-point error handling
+            for k in claims:
+                if k >= len(starts):
+                    return
+                done[k] = products(starts[k])
+                if then is not None:
+                    then()
+
+    def add_ready():
+        nonlocal added
+        while added < len(starts) and done[added] is not None:
+            i0, (own, beyond) = starts[added], done[added]
+            i1 = min(n, i0 + size)
+            acc[i0:i1] += own
+            if beyond is not None:
+                acc[i1:] += beyond
+            done[added] = None
+            added += 1
+
+    futures = [_executor().submit(take, np.geterr()) for _ in range(helpers)]
+    with _on_first_core() if helpers else nullcontext():
+        try:
+            take(np.geterr(), add_ready)
+        finally:  # no pool thread may outlive the call, nor its error go unread
+            for future in futures:
+                future.result()
+    add_ready()
     return rho * acc[:, 0] - acc[:, 1]
 
 

@@ -11,20 +11,35 @@ n = 2400 on the [-30, 30) line).
 """
 
 import dataclasses
+import importlib
+import inspect
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sqgfronts import (
     KernelParams,
+    SimConfig,
     cosine_integral_constant,
     front_profile,
+    galilean_shift,
+    initial_state,
     kernel_difference,
     linear_term_quadrature,
     make_grid,
     make_state,
     nonlinear_term,
+    normal_velocity_background,
+    normal_velocity_bmo,
     resolve_depth,
+    rhs_galilean_form,
     scale_identity,
 )
 from sqgfronts import background_term, quadrature
@@ -318,6 +333,179 @@ def test_pair_sum_blocking_leaves_periodic_term_unchanged(monkeypatch):
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 7 * g.n)
     blocked = nonlinear_term(st, phix)
     assert np.max(np.abs(whole - blocked)) < 1e-16
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pair-sum pool of the test's own, started on first use as usual and
+    shut down after the test; the other tests keep theirs."""
+    monkeypatch.setattr(quadrature, "_pool", None)
+    yield
+    if quadrature._pool is not None:
+        quadrature._pool.shutdown()
+
+
+def _on_cores(monkeypatch, cores=None):
+    # pair sums above the cutoff run on `cores` chunks, by default on every
+    # usable core and at least two, so the pool runs on any machine
+    cores = cores or max(2, quadrature._usable_cores())
+    monkeypatch.setattr(quadrature, "_usable_cores", lambda: cores)
+
+
+def _line_front(n, amplitude=0.5):
+    g = make_grid(-30.0, 60.0, n)
+    phi, phix = front_profile(g.x, "gaussian", amplitude=amplitude, width=2.0, center=0.0)
+    return make_state(g, phi), phix
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["symmetric", "ends", "full"])
+@pytest.mark.parametrize("n", [64, 131, 200])
+def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, cores, mode, n):
+    # 5 rows a block: 13 to 40 blocks, claimed by 1, 2 or 3 threads
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 5 * n)
+    symmetric = mode == "symmetric"
+    rng = np.random.default_rng(n)
+    kern = rng.standard_normal((n, n))
+    kern += kern.T
+    rho = rng.standard_normal(n)
+    threads = set()
+    pool_ran = threading.Event()
+    wait_for_pool = False
+
+    def rows(i0, i1):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            pool_ran.set()
+        elif wait_for_pool:  # let a pool thread claim blocks before this one ends
+            pool_ran.wait(10.0)
+        block = kern[i0:i1].copy()
+        block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
+        return block[:, i0:] if symmetric else block
+
+    kw = {"ends": mode == "ends", "symmetric": symmetric}
+    _on_cores(monkeypatch, 1)
+    one_core = _pair_sum(rows, n, rho, **kw)
+    assert threads == {threading.main_thread()}
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, cores)
+    wait_for_pool = cores > 1
+    assert np.array_equal(_pair_sum(rows, n, rho, **kw), one_core)
+    assert pool_ran.is_set() == wait_for_pool
+
+
+def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh_pool):
+    # six threads on any machine, one row a block and a 1 us switch interval:
+    # a lost block breaks the bit-for-bit equality, one claimed twice the count
+    n = 200
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
+    rng = np.random.default_rng(3)
+    kern = rng.standard_normal((n, n))
+    kern += kern.T
+    rho = rng.standard_normal(n)
+    claimed = []
+
+    def rows(i0, i1):
+        claimed.append(i0)
+        return kern[i0:i1, i0:].copy()
+
+    _on_cores(monkeypatch, 1)
+    one_core = _pair_sum(rows, n, rho, symmetric=True)
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, 6)
+    monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            claimed.clear()
+            assert np.array_equal(_pair_sum(rows, n, rho, symmetric=True), one_core)
+            assert sorted(claimed) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_nonlinear_term_threaded_matches_one_core_bit_for_bit(monkeypatch, fresh_pool):
+    # line n = 2048 forms 2.1e6 pairs, above the cutoff
+    st, phix = _line_front(2048)
+    _on_cores(monkeypatch, 1)
+    one_core = nonlinear_term(st, phix)
+    assert quadrature._pool is None
+    _on_cores(monkeypatch, max(2, len(os.sched_getaffinity(0))))
+    threaded = nonlinear_term(st, phix)
+    assert quadrature._pool is not None
+    assert np.array_equal(threaded, one_core)
+
+
+def test_pair_sum_below_cutoff_starts_no_pool_thread(fresh_pool):
+    # the symmetric n = 512 sum forms 163 840 pairs, the periodic benchmark's
+    g = make_grid(-8.0 * np.pi, 16.0 * np.pi, 512, periodic=True)
+    phi, phix = front_profile(g.x, "gaussian", amplitude=0.1, width=0.5, center=0.3)
+    assert 163_840 <= quadrature._PARALLEL_PAIRS
+    before = set(threading.enumerate())
+    nonlinear_term(make_state(g, phi), phix)
+    assert quadrature._pool is None
+    assert set(threading.enumerate()) <= before
+
+
+def test_pool_threads_call_no_public_function(monkeypatch, fresh_pool):
+    # every public function of the package, at every module-level name bound
+    # to it (as a tracer wraps them), records the thread it runs on
+    threads = set()
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer in ("grid", "fronts", "quadrature", "velocity", "dynamics"):
+        mod = importlib.import_module(f"sqgfronts.{layer}")
+        for name, fn in list(vars(mod).items()):
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__.startswith("sqgfronts."):
+                monkeypatch.setattr(mod, name, recording(fn))
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)  # 16 blocks at n = 256
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch)
+    st, _ = _line_front(256)
+    normal_velocity_background(st)
+    normal_velocity_bmo(st, galilean_shift(st))
+    g = make_grid(-2.0 * np.pi, 4.0 * np.pi, 256, periodic=True)
+    cfg = SimConfig(grid=g, t_end=0.1, initial_family="gaussian",
+                    initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
+    rhs_galilean_form(initial_state(cfg), cfg)
+    assert quadrature._pool is not None
+    assert threads == {threading.main_thread()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pair_sum_runs_in_a_forked_child(monkeypatch, fresh_pool):
+    # a child inherits the parent's pool but not its threads; the pair sum
+    # must start the child's own pool instead of waiting on the dead one
+    st, phix = _line_front(2048)
+    _on_cores(monkeypatch)
+    want = nonlinear_term(st, phix)
+    assert quadrature._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:  # the child: report by exit status, run no pytest teardown
+        status = 2
+        try:
+            status = 0 if np.array_equal(nonlinear_term(st, phix), want) else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the pair sum hung in a forked child")
+        time.sleep(0.02)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 @pytest.mark.parametrize("periodic", [True, False])
