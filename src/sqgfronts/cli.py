@@ -20,8 +20,8 @@ Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 config error (including a numeric flag out of range). Config files are JSON;
 schema errors are reported with field paths. CSV bodies are deterministic
 for a fixed config, and bit-identical whatever the number of cores the dense
-pair sums run on; manifests add wall time and that core count (both excluded
-from the determinism contract).
+pair sums run on; manifests add wall time and the number of usable cores
+(both excluded from the determinism contract).
 """
 
 from __future__ import annotations

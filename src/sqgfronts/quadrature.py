@@ -69,16 +69,22 @@ not symmetric and stays on full rows; the advective grouping
 `dynamics.rhs_galilean_form` stays on full rows as well, so that its
 agreement with `rhs` also checks the triangular accumulation.
 
-Parallel blocks. A call that forms more than `_PARALLEL_PAIRS` kernel
-entries runs its row blocks on every usable core: the calling thread and a
-thread pool, started on first use (and again in a forked child) with one
-worker held to each other core, claim the blocks in order, and only the
-blocks' products are kept. The calling thread adds every product into the
-row sums in block order, the order of the one-core loop, so the sums are
-bit-for-bit the same on any core count. Below the cutoff, which the
-symmetric n = 512 sum of the periodic backend stays under, the blocks run
-on the calling thread alone: there the threads' hand-offs of the GIL cost
-what the other cores save.
+Parallel blocks. `nonlinear_term`'s symmetric sum, once it forms more
+than `_PARALLEL_PAIRS` kernel entries, runs its row blocks on every usable
+core: the calling thread and a thread pool, started on first use (and again
+in a forked child) with one worker held to each other core, claim the
+blocks in order, and only the blocks' products are kept. The calling thread
+adds every product into the row sums in block order, the order of the
+one-core loop, so the sums are bit-for-bit the same on any core count.
+Below the cutoff, which the symmetric n = 512 sum of the periodic backend
+stays under, the blocks run on the calling thread alone: there the threads'
+hand-offs of the GIL cost what the other cores save. The cutoff is the
+measured crossover of that sum alone; the velocity routes' sums and
+`dynamics.rhs_galilean_form`'s full-row sum stay on one core, since no
+crossover of theirs was measured and the threaded velocity sums were slower
+in the n = 1024 velocity analysis. Nor does a sum run threaded while other
+processes keep the usable cores busy (see `_on_first_core`): two such
+processes sharing two cores each ran slower threaded than on one core.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ import itertools
 import math
 import os
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -251,18 +258,24 @@ def _separation(grid) -> np.ndarray:
     return sep
 
 
-# kernel entries above which a pair sum runs its row blocks on every usable
-# core (see _pair_sum): measured crossover of the one-core and threaded sums
+# kernel entries above which a threaded pair sum runs its row blocks on every
+# usable core (see _pair_sum): measured crossover of the one-core and threaded
+# symmetric nonlinear_term sums
 _PARALLEL_PAIRS = 200_000
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
+def _core_set() -> set[int]:
+    """Cores the calling thread may run on; empty where the OS does not say."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
 def _usable_cores() -> int:
-    """Cores the calling thread may run on; 1 where the OS does not say
-    (the pair sums then run on one core)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """How many cores the calling thread may run on; 1 where the OS does not
+    say (the pair sums then run on one core)."""
+    return max(1, len(_core_set()))
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -271,20 +284,74 @@ def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            cores = sorted(os.sched_getaffinity(0))
+            cores = sorted(_core_set())
             others = itertools.cycle(cores[1:] or cores)
-            _pool = ThreadPoolExecutor(max(1, len(cores) - 1), thread_name_prefix="sqgfronts-pair-sum",
-                                       initializer=lambda: os.sched_setaffinity(0, {next(others)}))
+            pin = (lambda: os.sched_setaffinity(0, {next(others)})) if cores else None
+            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1), thread_name_prefix="sqgfronts-pair-sum",
+                                       initializer=pin)
         return _pool
+
+
+def _busy_seconds(cores) -> float | None:
+    """CPU time the kernel has counted busy on `cores` since boot (user, nice,
+    system and interrupts; not steal, the time a hypervisor gave the core to
+    another guest); None where /proc/stat cannot be read."""
+    try:
+        with open("/proc/stat") as f:
+            lines = f.readlines()
+    except OSError:
+        return None
+    ticks = 0
+    for line in lines:
+        name, *fields = line.split()
+        if name.startswith("cpu") and name[3:].isdigit() and int(name[3:]) in cores:
+            user, nice, system, _, _, irq, softirq = map(int, fields[:7])
+            ticks += user + nice + system + irq + softirq
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+def _own_seconds() -> float:
+    """CPU time of this process, all its threads."""
+    return sum(os.times()[:2])
+
+
+class _OtherLoad:
+    """Whether other processes keep this process's cores busy: over the time
+    since the previous reading, at least `window` seconds, the CPU time the
+    cores were busy less this process's own reaches half a core. Read at most
+    once a window, so most calls cost a clock read; False until the first
+    window closes and where /proc/stat cannot be read."""
+
+    window = 0.5
+
+    def __init__(self):
+        self.mark = None  # (clock, busy, own) seconds at the last reading
+        self.busy = False
+
+    def __call__(self, cores) -> bool:
+        now = time.monotonic()
+        if self.mark is not None and now - self.mark[0] < self.window:
+            return self.busy
+        reading = (now, _busy_seconds(cores), _own_seconds())
+        if self.mark is not None and None not in (reading[1], self.mark[1]):
+            others = (reading[1] - self.mark[1]) - (reading[2] - self.mark[2])
+            self.busy = others > 0.5 * (now - self.mark[0])
+        self.mark = reading
+        return self.busy
+
+
+_other_load = _OtherLoad()
 
 
 def _forget_pool() -> None:
     # a forked child inherits the pool but none of its threads, so the
     # inherited pool would wait forever, and the lock as it was at the fork;
-    # the child starts its own
-    global _pool, _pool_lock
+    # the child starts its own, and its own load reading (its CPU time
+    # starts again from 0)
+    global _pool, _pool_lock, _other_load
     _pool = None
     _pool_lock = threading.Lock()
+    _other_load = _OtherLoad()
 
 
 if hasattr(os, "register_at_fork"):
@@ -296,8 +363,18 @@ def _on_first_core():
     """Hold the calling thread to its first usable core while the pool
     workers run on the others. Unpinned threads that hand the GIL back and
     forth end up on one core: the scheduler wakes the waiting thread on the
-    waker's core, and the threaded sum then measured no faster than one core."""
-    cores = os.sched_getaffinity(0)
+    waker's core, and the threaded sum then measured no faster than one core.
+
+    This assumes the process has its cores to itself: processes that share
+    one set of cores would each hold their calling thread to the same first
+    core and their workers to the same others. So `_pair_sum` threads no sum
+    while other processes keep the cores busy (`_OtherLoad`); give processes
+    that run at once disjoint sets (`taskset`, a scheduler's per-job core
+    mask) and each threads on its own."""
+    cores = _core_set()
+    if not cores:
+        yield
+        return
     os.sched_setaffinity(0, {min(cores)})
     try:
         yield
@@ -305,7 +382,8 @@ def _on_first_core():
         os.sched_setaffinity(0, cores)
 
 
-def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False) -> np.ndarray:
+def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False,
+              threaded: bool = False) -> np.ndarray:
     """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
 
     Returns, for every row i,
@@ -330,12 +408,15 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
     full-row side of the standing checks on the triangular accumulation.
 
-    Parallel blocks: a call whose blocks form more than `_PARALLEL_PAIRS`
-    kernel entries (rows x (n - i0) for a symmetric block, rows x n for a
-    full one) runs them on every usable core. This thread, held to its first
-    core meanwhile (`_on_first_core`), and one pool thread for each other
-    core claim the blocks in order, one at a time, so a core the host slows
-    down takes fewer. Each keeps its blocks' two products; this thread adds
+    Parallel blocks: a `threaded` call whose blocks form more than
+    `_PARALLEL_PAIRS` kernel entries (rows x (n - i0) for a symmetric block,
+    rows x n for a full one) runs them on every usable core, on no more
+    threads than it has blocks, unless other processes keep those cores busy
+    (`_OtherLoad`). Only `nonlinear_term` passes `threaded`: the cutoff is its
+    symmetric sum's measured crossover. This thread, held to its first core
+    meanwhile (`_on_first_core`), and one pool thread for each other core
+    claim the blocks in order, one at a time, so a core the host slows down
+    takes fewer. Each keeps its blocks' two products; this thread adds
     them into the row sums in block order, each as soon as the blocks before
     it are in. Every row sum thus takes the same additions in the same order
     as on one core, so the result is bit-for-bit the one-core result.
@@ -348,7 +429,9 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     size = max(1, _BLOCK_ELEMENTS // n)
     starts = range(0, n, size)
     pairs = sum(min(size, n - i0) * (n - i0 if symmetric else n) for i0 in starts)
-    helpers = _usable_cores() - 1 if pairs > _PARALLEL_PAIRS else 0
+    helpers = 0
+    if threaded and pairs > _PARALLEL_PAIRS and not _other_load(_core_set()):
+        helpers = min(_usable_cores(), len(starts)) - 1
 
     def products(i0):
         i1 = min(n, i0 + size)
@@ -507,9 +590,9 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     # the kernel is symmetric in (x, x'); the diagonal carries the odd-jump
     # average 0
     if g.periodic:
-        return _pair_sum(contrast, n, rho, symmetric=True) * dx + diag_coda
+        return _pair_sum(contrast, n, rho, symmetric=True, threaded=True) * dx + diag_coda
 
-    out = _pair_sum(contrast, n, rho, ends=True, symmetric=True) * dx
+    out = _pair_sum(contrast, n, rho, ends=True, symmetric=True, threaded=True) * dx
     # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
     b = _end_distances(g)
     ends = _end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx)

@@ -15,6 +15,7 @@ import importlib
 import inspect
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -39,6 +40,7 @@ from sqgfronts import (
     normal_velocity_background,
     normal_velocity_bmo,
     resolve_depth,
+    rhs,
     rhs_galilean_form,
     scale_identity,
 )
@@ -338,8 +340,10 @@ def test_pair_sum_blocking_leaves_periodic_term_unchanged(monkeypatch):
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """A pair-sum pool of the test's own, started on first use as usual and
-    shut down after the test; the other tests keep theirs."""
+    shut down after the test; the other tests keep theirs. The cores read
+    as free of other processes' load, so a busy test host threads as well."""
     monkeypatch.setattr(quadrature, "_pool", None)
+    monkeypatch.setattr(quadrature, "_other_load", lambda cores: False)
     yield
     if quadrature._pool is not None:
         quadrature._pool.shutdown()
@@ -383,7 +387,7 @@ def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, co
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:] if symmetric else block
 
-    kw = {"ends": mode == "ends", "symmetric": symmetric}
+    kw = {"ends": mode == "ends", "symmetric": symmetric, "threaded": True}
     _on_cores(monkeypatch, 1)
     one_core = _pair_sum(rows, n, rho, **kw)
     assert threads == {threading.main_thread()}
@@ -410,7 +414,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
         return kern[i0:i1, i0:].copy()
 
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, n, rho, symmetric=True)
+    one_core = _pair_sum(rows, n, rho, symmetric=True, threaded=True)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 6)
     monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(5))
@@ -419,7 +423,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
     try:
         for _ in range(5):
             claimed.clear()
-            assert np.array_equal(_pair_sum(rows, n, rho, symmetric=True), one_core)
+            assert np.array_equal(_pair_sum(rows, n, rho, symmetric=True, threaded=True), one_core)
             assert sorted(claimed) == list(range(n))
     finally:
         sys.setswitchinterval(interval)
@@ -431,7 +435,7 @@ def test_nonlinear_term_threaded_matches_one_core_bit_for_bit(monkeypatch, fresh
     _on_cores(monkeypatch, 1)
     one_core = nonlinear_term(st, phix)
     assert quadrature._pool is None
-    _on_cores(monkeypatch, max(2, len(os.sched_getaffinity(0))))
+    _on_cores(monkeypatch)
     threaded = nonlinear_term(st, phix)
     assert quadrature._pool is not None
     assert np.array_equal(threaded, one_core)
@@ -470,12 +474,116 @@ def test_pool_threads_call_no_public_function(monkeypatch, fresh_pool):
     st, _ = _line_front(256)
     normal_velocity_background(st)
     normal_velocity_bmo(st, galilean_shift(st))
+    nonlinear_term(st, st.slope)
+    g = make_grid(-2.0 * np.pi, 4.0 * np.pi, 256, periodic=True)
+    cfg = SimConfig(grid=g, t_end=0.1, initial_family="gaussian",
+                    initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
+    rhs(initial_state(cfg), cfg)
+    rhs_galilean_form(initial_state(cfg), cfg)
+    assert quadrature._pool is not None
+    assert threads == {threading.main_thread()}
+
+
+def test_only_nonlinear_term_sums_run_on_the_pool(monkeypatch, fresh_pool):
+    # the cutoff is the crossover measured for nonlinear_term's symmetric sum;
+    # the velocity routes' sums and rhs_galilean_form's full-row sum stay on
+    # the calling thread however many pairs they form
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)  # 16 blocks at n = 256
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch)
+    st, phix = _line_front(256)
+    normal_velocity_background(st)
+    normal_velocity_bmo(st, galilean_shift(st))
     g = make_grid(-2.0 * np.pi, 4.0 * np.pi, 256, periodic=True)
     cfg = SimConfig(grid=g, t_end=0.1, initial_family="gaussian",
                     initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
     rhs_galilean_form(initial_state(cfg), cfg)
+    assert quadrature._pool is None
+    nonlinear_term(st, phix)
     assert quadrature._pool is not None
-    assert threads == {threading.main_thread()}
+
+
+def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
+    # three blocks on eight cores: the calling thread and two pool threads
+    n = 30
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, 8)
+
+    class CountingPool(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_pool", CountingPool(7))
+    rng = np.random.default_rng(4)
+    kern = rng.standard_normal((n, n))
+    _pair_sum(lambda i0, i1: kern[i0:i1].copy(), n, rng.standard_normal(n), threaded=True)
+    assert quadrature._pool.submitted == 2
+
+
+def test_pair_sum_stays_on_one_core_while_other_processes_load_its_cores(monkeypatch, fresh_pool):
+    st, phix = _line_front(2048)
+    _on_cores(monkeypatch)
+    monkeypatch.setattr(quadrature, "_other_load", lambda cores: True)
+    nonlinear_term(st, phix)
+    assert quadrature._pool is None
+
+
+def test_other_load_counts_busy_time_less_own_time(monkeypatch):
+    # busy and own CPU seconds at successive readings; the clock between
+    # readings advances by far less than a second in the test
+    readings = iter([(10.0, 1.0), (10.5, 1.5), (13.0, 2.0), (15.0, 2.0), (20.0, 7.0)])
+    reading = None
+
+    def next_reading():
+        nonlocal reading
+        reading = next(readings)
+
+    monkeypatch.setattr(quadrature, "_busy_seconds", lambda cores: reading[0])
+    monkeypatch.setattr(quadrature, "_own_seconds", lambda: reading[1])
+    load = quadrature._OtherLoad()
+    load.window = 0.0
+    verdicts = []
+    for _ in range(5):
+        next_reading()
+        verdicts.append(load({0}))
+    # no window closed yet; own load only; others 2 s; others 2 s; own 5 s
+    assert verdicts == [False, False, True, True, False]
+
+
+def test_other_load_keeps_its_verdict_within_a_window(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quadrature, "_busy_seconds", lambda cores: calls.append(cores) or 0.0)
+    load = quadrature._OtherLoad()
+    for _ in range(100):
+        assert load({0}) is False
+    assert len(calls) == 1
+
+
+def test_other_load_reads_false_without_proc_stat(monkeypatch):
+    monkeypatch.setattr(quadrature, "_busy_seconds", lambda cores: None)
+    load = quadrature._OtherLoad()
+    load.window = 0.0
+    assert not any(load({0}) for _ in range(3))
+
+
+@pytest.mark.skipif(not (os.path.exists("/proc/stat") and hasattr(os, "sched_getaffinity")),
+                    reason="needs /proc/stat and core affinity")
+def test_other_load_sees_a_busy_process():
+    # a spinning child on the same cores keeps one of them busy
+    load = quadrature._OtherLoad()
+    child = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+    try:
+        time.sleep(0.2)
+        load(quadrature._core_set())
+        time.sleep(load.window + 0.1)
+        assert load(quadrature._core_set())
+    finally:
+        child.kill()
+        child.wait()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
