@@ -71,10 +71,11 @@ agreement with `rhs` also checks the triangular accumulation.
 
 Parallel blocks. `nonlinear_term`'s symmetric sum, once it forms more
 than `_PARALLEL_PAIRS` kernel entries, runs its row blocks on every usable
-core: the calling thread and a thread pool, started on first use (and again
-in a forked child) with one worker held to each other core, claim the
-blocks in order, and only the blocks' products are kept. The calling thread
-adds every product into the row sums in block order, the order of the
+core: a thread pool, started on first use (and again in a forked child)
+with one worker held to each core, runs the one-core block loop on each
+worker while the calling thread waits. The workers claim the blocks in
+order, and after each block the one that holds the lock adds every finished
+block not yet added into the row sums, in block order, the order of the
 one-core loop, so the sums are bit-for-bit the same on any core count.
 Below the cutoff, which the symmetric n = 512 sum of the periodic backend
 stays under, the blocks run on the calling thread alone: there the threads'
@@ -83,7 +84,7 @@ measured crossover of that sum alone; the velocity routes' sums and
 `dynamics.rhs_galilean_form`'s full-row sum stay on one core, since no
 crossover of theirs was measured and the threaded velocity sums were slower
 in the n = 1024 velocity analysis. Nor does a sum run threaded while other
-processes keep the usable cores busy (see `_on_first_core`): two such
+processes keep the usable cores busy (see `_executor`): two such
 processes sharing two cores each ran slower threaded than on one core.
 """
 
@@ -96,8 +97,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,8 +159,9 @@ def kernel_difference(delta_x, delta_phi):
 
 
 def _kernel_difference(delta_x: np.ndarray, delta_phi: np.ndarray) -> np.ndarray:
-    """`kernel_difference` without the checks, for the pair-sum blocks: they
-    may run on pool threads, which call no public function."""
+    """`kernel_difference` without the checks, for the row blocks of
+    `dynamics.rhs_galilean_form`'s pair sum: their separations hold a finite
+    placeholder on the diagonal, which the sum never reads."""
     return 1.0 / np.abs(delta_x) - 1.0 / np.hypot(delta_x, delta_phi)
 
 
@@ -280,14 +281,23 @@ def _usable_cores() -> int:
 
 def _executor() -> ThreadPoolExecutor:
     """The pair-sum thread pool, started on first use: one worker for every
-    usable core but the first, each held to its own core."""
+    usable core, each held to its own core as it starts. Unpinned threads
+    that hand the GIL back and forth end up on one core (the scheduler wakes
+    a waiting thread on its waker's core), and the threaded sum then measured
+    no faster than one core.
+
+    This assumes the process has its cores to itself: processes that share
+    one set of cores would each hold their workers to the same cores. So
+    `_pair_sum` threads no sum while other processes keep the cores busy
+    (`_OtherLoad`); give processes that run at once disjoint sets (`taskset`,
+    a scheduler's per-job core mask) and each threads on its own."""
     global _pool
     with _pool_lock:
         if _pool is None:
             cores = sorted(_core_set())
-            others = itertools.cycle(cores[1:] or cores)
-            pin = (lambda: os.sched_setaffinity(0, {next(others)})) if cores else None
-            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1), thread_name_prefix="sqgfronts-pair-sum",
+            each = itertools.cycle(cores)
+            pin = (lambda: os.sched_setaffinity(0, {next(each)})) if cores else None
+            _pool = ThreadPoolExecutor(_usable_cores(), thread_name_prefix="sqgfronts-pair-sum",
                                        initializer=pin)
         return _pool
 
@@ -344,10 +354,12 @@ _other_load = _OtherLoad()
 
 
 def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads, so the
-    # inherited pool would wait forever, and the lock as it was at the fork;
-    # the child starts its own, and its own load reading (its CPU time
-    # starts again from 0)
+    """Drop the pool, its lock and the load reading in a forked child.
+
+    The child inherits the pool but none of its workers, so a sum submitted
+    to it would wait forever, and the lock as it was at the fork; the child
+    starts its own pool on its first threaded sum, and its own load reading
+    (its CPU time starts again from 0)."""
     global _pool, _pool_lock, _other_load
     _pool = None
     _pool_lock = threading.Lock()
@@ -356,30 +368,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-@contextmanager
-def _on_first_core():
-    """Hold the calling thread to its first usable core while the pool
-    workers run on the others. Unpinned threads that hand the GIL back and
-    forth end up on one core: the scheduler wakes the waiting thread on the
-    waker's core, and the threaded sum then measured no faster than one core.
-
-    This assumes the process has its cores to itself: processes that share
-    one set of cores would each hold their calling thread to the same first
-    core and their workers to the same others. So `_pair_sum` threads no sum
-    while other processes keep the cores busy (`_OtherLoad`); give processes
-    that run at once disjoint sets (`taskset`, a scheduler's per-job core
-    mask) and each threads on its own."""
-    cores = _core_set()
-    if not cores:
-        yield
-        return
-    os.sched_setaffinity(0, {min(cores)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cores)
 
 
 def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False,
@@ -410,28 +398,28 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
 
     Parallel blocks: a `threaded` call whose blocks form more than
     `_PARALLEL_PAIRS` kernel entries (rows x (n - i0) for a symmetric block,
-    rows x n for a full one) runs them on every usable core, on no more
-    threads than it has blocks, unless other processes keep those cores busy
-    (`_OtherLoad`). Only `nonlinear_term` passes `threaded`: the cutoff is its
-    symmetric sum's measured crossover. This thread, held to its first core
-    meanwhile (`_on_first_core`), and one pool thread for each other core
-    claim the blocks in order, one at a time, so a core the host slows down
-    takes fewer. Each keeps its blocks' two products; this thread adds
-    them into the row sums in block order, each as soon as the blocks before
-    it are in. Every row sum thus takes the same additions in the same order
-    as on one core, so the result is bit-for-bit the one-core result.
-    kernel_rows then runs on pool threads too: it may only read shared
-    arrays, and it must call no public function of the package (a tracer
-    that wraps those keeps one span stack).
+    rows x n for a full one) runs them on the pool, one worker for each
+    usable core and no more than it has blocks, unless other processes keep
+    those cores busy (`_OtherLoad`). Only `nonlinear_term` passes `threaded`:
+    the cutoff is its symmetric sum's measured crossover. The calling thread
+    then only waits. Every thread that runs the sum claims the blocks in
+    order, one at a time, so a core the host slows down takes fewer; after
+    each block it adds every finished block not yet added into the row sums,
+    in block order, under one lock. Every row sum thus takes the same
+    additions in the same order as on one core, so the result is bit-for-bit
+    the one-core result, and only the products of blocks that finished ahead
+    of an earlier one are kept. kernel_rows then runs on pool threads: it may
+    only read shared arrays, and it must call no public function of the
+    package (a tracer that wraps those keeps one span stack).
     """
     w = _trapezoid_weights(n) if ends else np.ones(n)
     rhs = np.column_stack((w, w * rho))
     size = max(1, _BLOCK_ELEMENTS // n)
     starts = range(0, n, size)
     pairs = sum(min(size, n - i0) * (n - i0 if symmetric else n) for i0 in starts)
-    helpers = 0
+    workers = 1
     if threaded and pairs > _PARALLEL_PAIRS and not _other_load(_core_set()):
-        helpers = min(_usable_cores(), len(starts)) - 1
+        workers = min(_usable_cores(), len(starts))
 
     def products(i0):
         i1 = min(n, i0 + size)
@@ -444,36 +432,33 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     acc = np.zeros(rhs.shape)
     done = [None] * len(starts)
     claims = itertools.count()  # shared: next() on it is atomic under the GIL
+    adding = threading.Lock()
     added = 0
 
-    def take(err, then=None):
+    def take(err):
+        nonlocal added
         with np.errstate(**err):  # the caller's floating-point error handling
             for k in claims:
                 if k >= len(starts):
                     return
                 done[k] = products(starts[k])
-                if then is not None:
-                    then()
+                with adding:
+                    while added < len(starts) and done[added] is not None:
+                        i0, (own, beyond) = starts[added], done[added]
+                        i1 = min(n, i0 + size)
+                        acc[i0:i1] += own
+                        if beyond is not None:
+                            acc[i1:] += beyond
+                        done[added] = None
+                        added += 1
 
-    def add_ready():
-        nonlocal added
-        while added < len(starts) and done[added] is not None:
-            i0, (own, beyond) = starts[added], done[added]
-            i1 = min(n, i0 + size)
-            acc[i0:i1] += own
-            if beyond is not None:
-                acc[i1:] += beyond
-            done[added] = None
-            added += 1
-
-    futures = [_executor().submit(take, np.geterr()) for _ in range(helpers)]
-    with _on_first_core() if helpers else nullcontext():
-        try:
-            take(np.geterr(), add_ready)
-        finally:  # no pool thread may outlive the call, nor its error go unread
-            for future in futures:
-                future.result()
-    add_ready()
+    if workers == 1:
+        take(np.geterr())
+    else:
+        futures = [_executor().submit(take, np.geterr()) for _ in range(workers)]
+        wait(futures)  # no pool thread may outlive the call, nor its error go unread
+        for future in futures:
+            future.result()
     return rho * acc[:, 0] - acc[:, 1]
 
 

@@ -350,8 +350,9 @@ def fresh_pool(monkeypatch):
 
 
 def _on_cores(monkeypatch, cores=None):
-    # pair sums above the cutoff run on `cores` chunks, by default on every
-    # usable core and at least two, so the pool runs on any machine
+    # pair sums above the cutoff run on `cores` pool workers (no more than
+    # they have blocks), by default one for every usable core and at least
+    # two, so the pool runs on any machine
     cores = cores or max(2, quadrature._usable_cores())
     monkeypatch.setattr(quadrature, "_usable_cores", lambda: cores)
 
@@ -366,23 +367,26 @@ def _line_front(n, amplitude=0.5):
 @pytest.mark.parametrize("mode", ["symmetric", "ends", "full"])
 @pytest.mark.parametrize("n", [64, 131, 200])
 def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, cores, mode, n):
-    # 5 rows a block: 13 to 40 blocks, claimed by 1, 2 or 3 threads
+    # 5 rows a block: 13 to 40 blocks, claimed by the calling thread alone or
+    # by 2 or 3 pool threads, out of order: the pool thread that holds block 0
+    # waits until another pool thread has finished a later block
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 5 * n)
     symmetric = mode == "symmetric"
     rng = np.random.default_rng(n)
     kern = rng.standard_normal((n, n))
     kern += kern.T
     rho = rng.standard_normal(n)
-    threads = set()
-    pool_ran = threading.Event()
-    wait_for_pool = False
+    threads = []  # the thread of each block, in the order they start
+    later_done = threading.Event()
+    hold_first = False
 
     def rows(i0, i1):
-        threads.add(threading.current_thread())
-        if threading.current_thread() is not threading.main_thread():
-            pool_ran.set()
-        elif wait_for_pool:  # let a pool thread claim blocks before this one ends
-            pool_ran.wait(10.0)
+        me = threading.current_thread()
+        if hold_first and i0 > 0 and me in threads:  # its previous block is done
+            later_done.set()
+        threads.append(me)
+        if hold_first and i0 == 0:
+            later_done.wait(10.0)
         block = kern[i0:i1].copy()
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:] if symmetric else block
@@ -390,17 +394,23 @@ def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, co
     kw = {"ends": mode == "ends", "symmetric": symmetric, "threaded": True}
     _on_cores(monkeypatch, 1)
     one_core = _pair_sum(rows, n, rho, **kw)
-    assert threads == {threading.main_thread()}
+    assert set(threads) == {threading.main_thread()}
+    threads.clear()
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, cores)
-    wait_for_pool = cores > 1
+    hold_first = cores > 1
     assert np.array_equal(_pair_sum(rows, n, rho, **kw), one_core)
-    assert pool_ran.is_set() == wait_for_pool
+    assert later_done.is_set() == hold_first
+    if hold_first:  # the calling thread only waits
+        assert threading.main_thread() not in threads
+    else:
+        assert set(threads) == {threading.main_thread()}
 
 
 def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh_pool):
-    # six threads on any machine, one row a block and a 1 us switch interval:
-    # a lost block breaks the bit-for-bit equality, one claimed twice the count
+    # six pool threads on any machine, one row a block and a 1 us switch
+    # interval: a lost block breaks the bit-for-bit equality, one claimed
+    # twice the count
     n = 200
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
     rng = np.random.default_rng(3)
@@ -417,7 +427,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
     one_core = _pair_sum(rows, n, rho, symmetric=True, threaded=True)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 6)
-    monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(5))
+    monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(6))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -504,7 +514,7 @@ def test_only_nonlinear_term_sums_run_on_the_pool(monkeypatch, fresh_pool):
 
 
 def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
-    # three blocks on eight cores: the calling thread and two pool threads
+    # three blocks on eight cores: three pool threads
     n = 30
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
@@ -517,11 +527,72 @@ def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
             self.submitted += 1
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_pool", CountingPool(7))
+    monkeypatch.setattr(quadrature, "_pool", CountingPool(8))
     rng = np.random.default_rng(4)
     kern = rng.standard_normal((n, n))
     _pair_sum(lambda i0, i1: kern[i0:i1].copy(), n, rng.standard_normal(n), threaded=True)
-    assert quadrature._pool.submitted == 2
+    assert quadrature._pool.submitted == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs core affinity")
+def test_pair_sum_leaves_the_calling_threads_cores_alone(monkeypatch, fresh_pool):
+    # only the pool workers hold themselves to cores; the calling thread's
+    # mask is the same before and after, and it never sets one
+    setters = []
+    set_affinity = os.sched_setaffinity
+
+    def spy(pid, mask):
+        setters.append(threading.current_thread())
+        set_affinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    _on_cores(monkeypatch)
+    st, phix = _line_front(2048)
+    before = os.sched_getaffinity(0)
+    nonlinear_term(st, phix)
+    assert quadrature._pool is not None
+    assert os.sched_getaffinity(0) == before
+    assert setters and threading.main_thread() not in setters
+
+
+def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch, fresh_pool):
+    # block 0 fails on a pool thread once another block is under way: the
+    # error reaches the caller, but only when no pool thread is inside
+    # kernel_rows any more, and the next threaded call runs as usual
+    n = 60
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)  # 6 blocks
+    rng = np.random.default_rng(5)
+    kern = rng.standard_normal((n, n))
+    rho = rng.standard_normal(n)
+    inside = []
+    failed_on = []
+    fail = False
+
+    def rows(i0, i1):
+        inside.append(i0)
+        try:
+            if fail and i0 == 0:
+                failed_on.append(threading.current_thread())
+                deadline = time.monotonic() + 10.0
+                while len(inside) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise RuntimeError("block 0 failed")
+            time.sleep(0.02)
+            return kern[i0:i1].copy()
+        finally:
+            inside.remove(i0)
+
+    _on_cores(monkeypatch, 1)
+    one_core = _pair_sum(rows, n, rho, threaded=True)
+    fail = True
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        _pair_sum(rows, n, rho, threaded=True)
+    assert inside == []
+    assert failed_on and threading.main_thread() not in failed_on
+    fail = False
+    assert np.array_equal(_pair_sum(rows, n, rho, threaded=True), one_core)
 
 
 def test_pair_sum_stays_on_one_core_while_other_processes_load_its_cores(monkeypatch, fresh_pool):
