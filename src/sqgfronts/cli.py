@@ -419,8 +419,8 @@ def _suite_symmetry(n, dt, scale):
     yield "translation_in_phi", measure_translation_in_phi(min(n, 256)), 1e-10 * scale
     yield "translation_in_x", measure_translation_in_x(n), 1e-10 * scale
     mean_drift, l2_drift = measure_invariant_drift(n)
-    yield "mean_conservation_per_unit_time", mean_drift, 1e-8 * scale
-    # 1.2e-7, 2.0e-9 and 3.1e-11 at n = 128, 256 and 512
+    yield "mean_conservation_per_unit_time", mean_drift, 1e-12 * scale
+    # 1.6e-8, 3.8e-10 and 6.5e-12 at n = 128, 256 and 512
     yield "l2_conservation_per_unit_time", l2_drift, 1e-6 * scale
 
 

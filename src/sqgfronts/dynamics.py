@@ -50,10 +50,10 @@ from .grid import (
 from .quadrature import (
     _by_offset,
     _diagonal_jump_correction,
-    _kernel_difference,
     _pair_sum,
     _separation,
     background_term,
+    kernel_difference,
     linear_term_quadrature,
     nonlinear_term,
 )
@@ -193,7 +193,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     sep = _by_offset(_separation(g), g.n)
 
     def opposing_kernel(i0, i1):
-        return _kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
+        return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
 
     opposing = _pair_sum(opposing_kernel, g.n, phix) * g.dx
 
@@ -330,22 +330,17 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-9)))
     snapshots = [state]
     diagnostics = [_diagnose(state, cfg)]
-    aborted = False
-    steps = 0
-    for k in range(n_steps):
+    for steps in range(1, n_steps + 1):
         # the last step starts at or past (about) t_end / 2, so t_end - state.t
         # is exact (Sterbenz) and the t + step that step_rk4 forms is t_end
-        step = cfg.t_end - state.t if k == n_steps - 1 else dt
+        step = cfg.t_end - state.t if steps == n_steps else dt
         state = step_rk4(state, step, cfg)
-        steps += 1
-        if float(np.max(np.abs(state.slope))) > MAX_SLOPE:
-            aborted = True
+        aborted = float(np.max(np.abs(state.slope))) > MAX_SLOPE
+        if aborted or steps % cfg.output_stride == 0 or steps == n_steps:
             snapshots.append(state)
             diagnostics.append(_diagnose(state, cfg))
+        if aborted:
             break
-        if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
-            snapshots.append(state)
-            diagnostics.append(_diagnose(state, cfg))
     return Trajectory(snapshots=tuple(snapshots), diagnostics=tuple(diagnostics), aborted=aborted,
                       dt=dt, steps=steps)
 

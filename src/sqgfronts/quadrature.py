@@ -38,8 +38,13 @@ one-sided limits +(-) phi_xx (sqrt(1+phi_x^2)-1)/sqrt(1+phi_x^2) from the
 right (left); the linear integrand jumps by -(+) phi_xx around the smooth
 value -phi_x. The singular node takes the two-sided average (0 and
 -phi_x respectively), which cancels the value jump exactly, and adds the
-dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump
-(see _diagonal_jump_correction); together the scheme is O(dx^4).
+dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump;
+together the scheme is O(dx^4). Each kernel's derivative jump is the exact
+x-derivative of one flux (phi_xx (1 - 1/r) for the contrast kernel, with
+r = sqrt(1 + phi_x^2)), so the term is the 4th-order stencil difference of
+that flux (see _diagonal_jump_correction). A stencil difference sums to
+zero over a periodic grid, so the correction leaves the front's mean fixed
+to rounding, as the exact tendency, an x-derivative, does.
 
 Pair sums. The grid is uniform, so a kernel of s alone is an even
 Toeplitz matrix, and the line ops that have only such kernels or the
@@ -155,13 +160,6 @@ def kernel_difference(delta_x, delta_phi):
     delta_phi = np.asarray(delta_phi, dtype=np.float64)
     if np.any(delta_x == 0.0):
         raise ValueError("kernel_difference is undefined at delta_x = 0")
-    return _kernel_difference(delta_x, delta_phi)
-
-
-def _kernel_difference(delta_x: np.ndarray, delta_phi: np.ndarray) -> np.ndarray:
-    """`kernel_difference` without the checks, for the row blocks of
-    `dynamics.rhs_galilean_form`'s pair sum: their separations hold a finite
-    placeholder on the diagonal, which the sum never reads."""
     return 1.0 / np.abs(delta_x) - 1.0 / np.hypot(delta_x, delta_phi)
 
 
@@ -408,9 +406,11 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     in block order, under one lock. Every row sum thus takes the same
     additions in the same order as on one core, so the result is bit-for-bit
     the one-core result, and only the products of blocks that finished ahead
-    of an earlier one are kept. kernel_rows then runs on pool threads: it may
-    only read shared arrays, and it must call no public function of the
-    package (a tracer that wraps those keeps one span stack).
+    of an earlier one are kept. Once a block raises, no thread claims another
+    block, and the error reaches the caller when the blocks under way have
+    ended. kernel_rows then runs on pool threads: it may only read shared
+    arrays, and it must call no public function of the package (a tracer
+    that wraps those keeps one span stack).
     """
     w = _trapezoid_weights(n) if ends else np.ones(n)
     rhs = np.column_stack((w, w * rho))
@@ -434,14 +434,19 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     claims = itertools.count()  # shared: next() on it is atomic under the GIL
     adding = threading.Lock()
     added = 0
+    failed = threading.Event()  # set once a block raises: no thread claims another
 
     def take(err):
         nonlocal added
         with np.errstate(**err):  # the caller's floating-point error handling
             for k in claims:
-                if k >= len(starts):
+                if k >= len(starts) or failed.is_set():
                     return
-                done[k] = products(starts[k])
+                try:
+                    done[k] = products(starts[k])
+                except BaseException:
+                    failed.set()
+                    raise
                 with adding:
                     while added < len(starts) and done[added] is not None:
                         i0, (own, beyond) = starts[added], done[added]
@@ -501,33 +506,29 @@ def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: 
     """Euler-Maclaurin term for the integrand's kink at x' = x.
 
     Trapezoid sums with the two-sided average at the singular node cancel the
-    value jump but keep an O(dx^2) error dx^2/12 * (f'(0+) - f'(0-)). The
-    one-sided derivative jumps, fixed against an eps-refinement oracle, are
+    value jump but keep an O(dx^2) error dx^2/12 * (f'(0+) - f'(0-)). Each
+    one-sided derivative jump, fixed against an eps-refinement oracle, is the
+    x-derivative of one flux F:
 
-        contrast kernel (1/sqrt(s^2+dphi^2) - 1/|s|) * drho:
-            phi_xxx (1 - r^-1) + phi_x phi_xx^2 r^-3
-        bare 1/|s| * drho (linear term):   -phi_xxx
-        front kernel 1/sqrt(s^2+dphi^2) * drho (velocity routes):
-            -phi_xxx r^-1 + phi_x phi_xx^2 r^-3
+        contrast kernel (1/sqrt(s^2+dphi^2) - 1/|s|) * drho:  F = phi_xx (1 - 1/r)
+        bare 1/|s| * drho (linear term):                      F = -phi_xx
+        front kernel 1/sqrt(s^2+dphi^2) * drho (velocity routes): F = -phi_xx / r
 
-    with r = sqrt(1 + phi_x^2); phi_xx and phi_xxx come from the slope
-    samples by the 4th-order stencil. The returned array is the
-    + dx^2/12 * jump term to add to the assembled quadrature.
+    with r = sqrt(1 + phi_x^2), and phi_xx and dF/dx come from the 4th-order
+    stencil. The returned array is dx^2/12 * dF/dx, to add to the assembled
+    quadrature. A stencil difference sums to zero over a periodic grid, so
+    the term leaves the mean of a periodic front's tendency at rounding.
     """
     rho1 = stencil_derivative(phix, dx, periodic)
-    rho2 = stencil_derivative(rho1, dx, periodic)
-    r2 = 1.0 + phix * phix
-    r = np.sqrt(r2)
-    curv = phix * rho1 * rho1 / (r2 * r)
     if kind == "contrast":
-        jump = rho2 * (1.0 - 1.0 / r) + curv
+        flux = rho1 * (1.0 - 1.0 / np.sqrt(1.0 + phix * phix))
     elif kind == "bare":
-        jump = -rho2
+        flux = -rho1
     elif kind == "front":
-        jump = -rho2 / r + curv
+        flux = -rho1 / np.sqrt(1.0 + phix * phix)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    return dx * dx / 12.0 * jump
+    return dx * dx / 12.0 * stencil_derivative(flux, dx, periodic)
 
 
 def _front_kernel(phi_rows: np.ndarray, phi_cols: np.ndarray, s2: np.ndarray) -> np.ndarray:

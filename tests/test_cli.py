@@ -227,8 +227,8 @@ SUITE_CHECKS = {
 }
 
 
-# symmetry at its default n = 256 takes seconds; at n = 64 the mean drift
-# reads 7.2e-9 against its 1e-8 bound, too close to use
+# symmetry at its default n = 256 takes seconds; at n = 64 the l2 drift
+# reads 6.9e-7 against its 1e-6 bound, too close to use
 @pytest.mark.parametrize("name, n", [(name, 128 if name in ("symmetry", "dispersion") else None) for name in SUITES])
 def test_run_suite_passes_with_pinned_check_names(name, n):
     checks = run_suite(name, n, None, 1.0)

@@ -46,6 +46,7 @@ from sqgfronts import (
 )
 from sqgfronts import background_term, quadrature
 from sqgfronts.cli import measure_background, measure_scale_identity
+from sqgfronts.grid import stencil_derivative
 from sqgfronts.quadrature import (
     _by_offset,
     _diagonal_jump_correction,
@@ -139,6 +140,45 @@ def test_diagonal_limit():
             assert errs[-1] < 1e-4 * abs(limit)
             assert all(8.0 < e0 / e1 < 12.0 for e0, e1 in zip(errs, errs[1:]))
     assert _diagonal_limit_one_sided(0.0, 2.5) == 0.0
+
+
+def _asymmetric_periodic_front(n):
+    g = make_grid(-np.pi, 2.0 * np.pi, n, periodic=True)
+    return make_state(g, 0.6 * np.cos(g.x) + 0.3 * np.sin(2.0 * g.x + 0.4) + 0.2 * np.cos(3.0 * g.x - 1.0))
+
+
+def _diagonal_jump_expanded(kind, phix, dx):
+    """The one-sided derivative jumps at x' = x written out term by term,
+    phi_xxx (1 - 1/r) + phi_x phi_xx^2 / r^3 (contrast) and
+    -phi_xxx / r + phi_x phi_xx^2 / r^3 (front), r = sqrt(1 + phi_x^2), with
+    phi_xx and phi_xxx by the 4th-order stencil on a periodic grid."""
+    rho1 = stencil_derivative(phix, dx, True)
+    rho2 = stencil_derivative(rho1, dx, True)
+    r = np.sqrt(1.0 + phix * phix)
+    curv = phix * rho1 * rho1 / r**3
+    return rho2 * (1.0 - 1.0 / r) + curv if kind == "contrast" else -rho2 / r + curv
+
+
+@pytest.mark.parametrize("kind", ["contrast", "front"])
+def test_diagonal_correction_leaves_the_periodic_mean(kind):
+    # the correction is a stencil difference, which telescopes over a
+    # periodic grid; the expanded jumps summed to -2e-8 here
+    st = _asymmetric_periodic_front(64)
+    coda = _diagonal_jump_correction(kind, st.slope, st.grid.dx, periodic=True)
+    assert abs(coda.sum()) <= 64 * np.finfo(float).eps * np.abs(coda).sum()
+
+
+@pytest.mark.parametrize("kind", ["contrast", "front"])
+def test_diagonal_correction_matches_the_expanded_jumps(kind):
+    # the flux form and the expanded form both take the jump to 4th order in
+    # dx, so their relative gap stays under a bound that falls 16x per dx
+    # halving (it reads 4.6e-3, 3.2e-4 and 2.0e-5 for the contrast kind)
+    for n in (128, 256, 512):
+        st = _asymmetric_periodic_front(n)
+        dx = st.grid.dx
+        jump = _diagonal_jump_correction(kind, st.slope, dx, periodic=True) * 12.0 / dx**2
+        expanded = _diagonal_jump_expanded(kind, st.slope, dx)
+        assert np.max(np.abs(jump - expanded)) <= 3e-5 * (512 / n) ** 4 * np.max(np.abs(expanded))
 
 
 def test_nonlinear_term_oracle():
@@ -593,6 +633,40 @@ def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch
     assert failed_on and threading.main_thread() not in failed_on
     fail = False
     assert np.array_equal(_pair_sum(rows, n, rho, threaded=True), one_core)
+
+
+def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
+    # one row a block on 3 pool threads, every other block 20 ms long; block
+    # 0 fails once two other blocks have started. Past that point each of the
+    # other 2 threads starts at most the block it had claimed, and one more
+    # while the error is on its way out of kernel_rows (with no stop, the
+    # other 196 blocks started after it)
+    n = 200
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
+    kern = np.random.default_rng(6).standard_normal((n, n))
+    started = []
+    after_error = []
+    failed = threading.Event()
+
+    def rows(i0, i1):
+        if failed.is_set():
+            after_error.append(i0)
+        started.append(i0)
+        if i0 == 0:
+            deadline = time.monotonic() + 10.0
+            while len(started) < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            failed.set()
+            raise RuntimeError("block 0 failed")
+        if i0 % 2:
+            time.sleep(0.02)
+        return kern[i0:i1].copy()
+
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        _pair_sum(rows, n, np.ones(n), threaded=True)
+    assert len(after_error) <= 4
 
 
 def test_pair_sum_stays_on_one_core_while_other_processes_load_its_cores(monkeypatch, fresh_pool):
