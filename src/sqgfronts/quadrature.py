@@ -407,10 +407,11 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     additions in the same order as on one core, so the result is bit-for-bit
     the one-core result, and only the products of blocks that finished ahead
     of an earlier one are kept. Once a block raises, no thread claims another
-    block, and the error reaches the caller when the blocks under way have
-    ended. kernel_rows then runs on pool threads: it may only read shared
-    arrays, and it must call no public function of the package (a tracer
-    that wraps those keeps one span stack).
+    block, the products kept are dropped and none is stored after them, and
+    the error reaches the caller when the blocks under way have ended.
+    kernel_rows then runs on pool threads: it may only read shared arrays,
+    and it must call no public function of the package (a tracer that wraps
+    those keeps one span stack).
     """
     w = _trapezoid_weights(n) if ends else np.ones(n)
     rhs = np.column_stack((w, w * rho))
@@ -443,11 +444,16 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
                 if k >= len(starts) or failed.is_set():
                     return
                 try:
-                    done[k] = products(starts[k])
+                    block = products(starts[k])
                 except BaseException:
-                    failed.set()
+                    with adding:  # no sum will be formed: drop what waits for it
+                        failed.set()
+                        done[:] = [None] * len(done)
                     raise
                 with adding:
+                    if failed.is_set():
+                        return
+                    done[k] = block
                     while added < len(starts) and done[added] is not None:
                         i0, (own, beyond) = starts[added], done[added]
                         i1 = min(n, i0 + size)

@@ -23,10 +23,14 @@ sample the reference cancels exactly, and `velocity_at` evaluates
     v(x,y) = -int phi_x'(x') / sqrt((x-x')^2+(y-phi')^2) dx'
 
 by trapezoid plus tails: u = -(trap(front - q) dx + E_probe(|y - phi_inf|)
-- E(1)) and v = -trap(rho * front) dx, with q = 1/sqrt(x'^2 + 1) and E the
-end terms below. q and E(1) depend on the grid alone and are built once
-per grid (`quadrature._unit_reference`). The field does not depend on h,
-so `velocity_at` takes the shift as an optional argument it does not read.
+- E(1)) and v = -(trap(rho * (front - q)) + q . (w rho)) dx, with
+q = 1/sqrt(x'^2 + 1), w the trapezoid weights and E the end terms below.
+q and E(1) depend on the grid alone and are built once per grid
+(`quadrature._unit_reference`); the complex nodes x' + i phi', the weight
+matrix [w, w rho] and q . (w rho) depend on the state alone and are built
+on its first sample (`_probe_tables`), so a sample is five array operations
+over the nodes. The field does not depend on h, so `velocity_at` takes the
+shift as an optional argument it does not read.
 
 Two independent routes to the front's normal velocity are kept deliberately
 separate (their agreement is an acceptance check, not an assumption):
@@ -47,6 +51,7 @@ analogue.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -132,6 +137,46 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
 
 
+# the probe tables of the last state sampled, as one (state, tables) tuple;
+# FrontState is immutable, so tables found under the same state never go stale
+_probe_memo = (None, None)
+
+
+def _probe_tables(state: FrontState) -> tuple:
+    """What every `velocity_at` sample of `state` shares, built once per state:
+    the complex nodes z = x' + i phi', the unit reference q, the weight matrix
+    W = [w, w rho] (w the trapezoid weights), q . (w rho), E(1), phi_inf,
+    and the nodes x' and heights phi' as lists. One entry, keyed by the
+    state's identity and replaced as one tuple, so a sample reads either the
+    old entry or the new one whole."""
+    global _probe_memo
+    memo = _probe_memo
+    if memo[0] is not state:
+        g = state.grid
+        x = g.x
+        q, e1 = _unit_reference(g)
+        w = _trapezoid_weights(g.n)
+        w_rho = w * state.slope
+        memo = state, (x + 1j * state.phi, q, np.column_stack((w, w_rho)), float(q @ w_rho), e1,
+                       far_field_value(state), x.tolist(), state.phi.tolist())
+        _probe_memo = memo
+    return memo[1]
+
+
+def _height_at(nodes: list, heights: list, c_inf: float, x: float) -> float:
+    """np.interp(x, nodes, heights, c_inf, c_inf) on lists, with numpy's
+    arithmetic and so its result bit for bit: the near-front refusal reads
+    it on every sample, where np.interp's call overhead alone took about a
+    fifth of the sample's time."""
+    j = bisect.bisect_right(nodes, x) - 1
+    if j < 0 or x > nodes[-1]:
+        return c_inf
+    if x == nodes[j]:
+        return heights[j]
+    slope = (heights[j + 1] - heights[j]) / (nodes[j + 1] - nodes[j])
+    return slope * (x - nodes[j]) + heights[j]
+
+
 def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | None = None) -> VelocitySample:
     """Velocity sample at a point off the front.
 
@@ -139,13 +184,17 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     in (ubar, vbar), the sample is
 
         u = -(trap(front - q) dx + E_probe(|y - phi_inf|) - E(1))
-        v = -trap(rho * front) dx
+        v = -(trap(rho * (front - q)) + q . (w rho)) dx
 
-    with front = 1/sqrt((x - x')^2 + (y - phi')^2), the unit reference
-    q = 1/sqrt(x'^2 + 1), and E the tails plus end correction of the
-    probe-centered front kernel and of q (`quadrature._end_term`). So
-    `shift` is optional and not read (the field does not depend on the
-    depth h); the argument stays for the callers that pass one.
+    with front = 1/|x + iy - z'| at the nodes z' = x' + i phi', the unit
+    reference q = 1/sqrt(x'^2 + 1), w the trapezoid weights, and E the tails
+    plus end correction of the probe-centered front kernel and of q
+    (`quadrature._end_term`). Both trapezoid sums come from one product of
+    front - q with the weight matrix [w, w rho]; z', that matrix, q . (w rho),
+    E(1) and phi_inf depend on the state alone and are built on its first
+    sample (`_probe_tables`). So `shift` is optional and not read (the field
+    does not depend on the depth h); the argument stays for the callers that
+    pass one.
 
     The probe may sit outside the grid window in x; tails use the flat
     continuation of the front. Raises if a coordinate is not finite or the
@@ -155,22 +204,20 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     for name, value in (("x", x), ("y", y)):
         if not math.isfinite(value):
             raise ValueError(f"probe {name} = {value} is not finite")
-    g = state.grid
-    xs, dx = g.x, g.dx
-    phi = state.phi
-    c_inf = far_field_value(state)
-    phi_at_x = float(np.interp(x, xs, phi, left=c_inf, right=c_inf))
-    if abs(y - phi_at_x) < dx:
+    z, q, weights, q_rho, e1, c_inf, nodes, heights = _probe_tables(state)
+    dx = state.grid.dx
+    if abs(y - _height_at(nodes, heights, c_inf, x)) < dx:
         raise ValueError(f"probe ({x}, {y}) is within one spacing of the front; velocity is singular there")
 
-    q, e1 = _unit_reference(g)
-    # sqrt of squares, since np.hypot costs about twice as much per node
-    kernel = 1.0 / np.sqrt(np.square(x - xs) + np.square(y - phi))
-    xa, xb = float(xs[0]), float(xs[-1])
-    u = -(_trapezoid(kernel - q) * dx + _end_term_at(xb - x, x - xa, abs(y - c_inf), dx) - e1)
-
-    kernel *= state.slope
-    v = -_trapezoid(kernel) * dx
+    # five array operations a sample; the complex abs takes both differences
+    # in one subtraction and their hypot in one pass, about half the cost of
+    # sqrt((x - x')^2 + (y - phi')^2) in five passes
+    kernel = abs(complex(x, y) - z)
+    np.reciprocal(kernel, out=kernel)
+    kernel -= q  # trap(front - q) stays one sum: split, it moved u by 2e-14
+    t_u, t_v = (kernel @ weights).tolist()
+    u = -(t_u * dx + _end_term_at(nodes[-1] - x, x - nodes[0], abs(y - c_inf), dx) - e1)
+    v = -(t_v + q_rho) * dx
     return VelocitySample(x=float(x), y=float(y), u=u, v=v)
 
 
@@ -296,9 +343,12 @@ def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows
     A constant row has only the kx = 0 mode, n flat[j], so only the band rows
     are transformed along x. The y transform runs by FFT over blocks of kx
     columns, zero outside the band, of _BLOCK_ELEMENTS entries each: memory
-    is O(n (len(band) + block)), not O(n^2). Each block is divided by |k|
-    and contracted with a column matrix carrying the Hermitian weights (1 at
-    kx = 0, 2 otherwise); a row matrix against the sum finishes the inverse.
+    is O(n (len(band) + block)), not O(n^2). A block is laid out (kx, y), so
+    its FFT runs along the contiguous last axis. Each block is divided by
+    |k| and contracted with the transposed column matrix, which carries the
+    Hermitian weights (1 at kx = 0, 2 otherwise); a row matrix against the
+    transposed sum finishes the inverse. The result is bit for bit the one
+    of blocks laid out (y, kx) and transformed along axis 0.
     """
     n = flat.size
     half = n // 2
@@ -316,23 +366,23 @@ def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows
     col = np.hstack((col, 1.0j * kx[:, None] * col))
 
     band_x = np.fft.rfft(band)
-    part = np.zeros((n, col.shape[1]), dtype=complex)
+    part = np.zeros((col.shape[1], n), dtype=complex)
     width = max(1, _BLOCK_ELEMENTS // n)
     for c0 in range(0, half, width):
         c1 = min(half, c0 + width)
-        spec = np.zeros((n, c1 - c0), dtype=complex)
-        spec[j0:j0 + len(band)] = band_x[:, c0:c1]
-        k2 = np.add.outer(ky2, kx[c0:c1] ** 2)
+        spec = np.zeros((c1 - c0, n), dtype=complex)
+        spec[:, j0:j0 + len(band)] = band_x[:, c0:c1].T
+        k2 = np.add.outer(kx[c0:c1] ** 2, ky2)
         if c0 == 0:
-            spec[:, 0] += n * flat
+            spec[0] += n * flat
             k2[0, 0] = np.inf  # the zero mode
-        spec = np.fft.fft(spec, axis=0)
+        spec = np.fft.fft(spec)
         k2 **= -0.5
         spec *= k2
-        part += spec @ col[c0:c1]
+        part += col[c0:c1].T @ spec
     p = len(cols)
-    part[:, :p] *= -1.0j * ky[:, None]
-    fields = (phase(np.asarray(rows), my) @ part).real / (n * n)
+    part[:p] *= -1.0j * ky
+    fields = (phase(np.asarray(rows), my) @ part.T).real / (n * n)
     return fields[:, :p], fields[:, p:]
 
 

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -667,6 +668,47 @@ def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
     with pytest.raises(RuntimeError, match="block 0 failed"):
         _pair_sum(rows, n, np.ones(n), threaded=True)
     assert len(after_error) <= 4
+
+
+def test_pair_sum_drops_kept_products_once_a_block_raises(monkeypatch, fresh_pool):
+    # one row a block on 2 pool threads; block 0 fails once the other thread
+    # has finished blocks 1-60, whose transposed products (about 32 KiB each)
+    # wait for block 0 in the ordered reduction. Block 61, under way, then
+    # watches the memory the sum holds: it must fall by most of them before
+    # the call returns, not stay held until the call ends
+    n = 2048
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
+    started = []
+    raised = threading.Event()
+    held = {}
+
+    def rows(i0, i1):
+        started.append(i0)
+        if i0 == 0:
+            deadline = time.monotonic() + 10.0
+            while len(started) < 62 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            held["before"] = tracemalloc.get_traced_memory()[0]
+            raised.set()
+            raise RuntimeError("block 0 failed")
+        if i0 == 61:
+            raised.wait(10.0)
+            deadline = time.monotonic() + 2.0
+            while tracemalloc.get_traced_memory()[0] > held["before"] - kept / 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            held["after"] = tracemalloc.get_traced_memory()[0]
+        return np.ones((i1 - i0, n - i0))
+
+    kept = sum((n - 1 - k) * 2 * 8 for k in range(1, 61))
+    monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
+    _on_cores(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            _pair_sum(rows, n, np.ones(n), symmetric=True, threaded=True)
+    finally:
+        tracemalloc.stop()
+    assert held["before"] - held["after"] >= kept / 2
 
 
 def test_pair_sum_stays_on_one_core_while_other_processes_load_its_cores(monkeypatch, fresh_pool):

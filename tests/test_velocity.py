@@ -351,6 +351,60 @@ def test_velocity_at_refuses_non_finite_probes(coordinate, value):
         velocity_at(_state(n=256), **probe)
 
 
+def test_velocity_at_tables_follow_the_state(monkeypatch):
+    # the per-state tables are one entry keyed by the state: probes that run
+    # on one state, switch to another on the same grid and to states on a
+    # second grid each read their own state's tables, and equal a sample
+    # taken with the tables built afresh
+    g1, g2 = make_grid(-30.0, 60.0, 512), make_grid(-20.0, 50.0, 600)
+    states = [make_state(g1, front_profile(g1.x, "gaussian", amplitude=0.5, width=2.0, center=0.0)[0]),
+              make_state(g1, front_profile(g1.x, "poly_bump", amplitude=-0.3, width=6.0, center=1.0)[0]),
+              make_state(g2, front_profile(g2.x, "gaussian", amplitude=0.4, width=1.5, center=-2.0)[0]),
+              make_state(g2, np.zeros(600))]
+    probes = [(-75.0, 2.5), (0.4, 3.0), (3.0, -5.0), (30.0, -1.5), (80.0, 9.0)]
+    order = [0, 0, 1, 1, 0, 2, 2, 3, 1, 3, 0, 2]
+    interleaved = [velocity_at(states[i], x, y) for i in order for x, y in probes]
+    fresh = []
+    for i in order:
+        for x, y in probes:
+            monkeypatch.setattr(velocity, "_probe_memo", (None, None))
+            fresh.append(velocity_at(states[i], x, y))
+    assert interleaved == fresh
+
+
+def test_height_at_is_np_interp_bit_for_bit():
+    # the near-front refusal reads the front's height by a list search in
+    # place of np.interp; at random points, every node, both window ends and
+    # beyond them the two agree exactly
+    st = _state(n=1024, amplitude=-0.4, width=1.5, center=0.3)
+    x, phi = st.grid.x, st.phi
+    c_inf = far_field_value(st)
+    rng = np.random.default_rng(3)
+    ends = [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf), -1e100, 1e100]
+    for p in np.concatenate([rng.uniform(-35.0, 35.0, 2000), x, ends]).tolist():
+        assert velocity._height_at(x.tolist(), phi.tolist(), c_inf, p) == np.interp(p, x, phi, left=c_inf, right=c_inf)
+
+
+def test_velocity_at_refusals_keep_their_messages():
+    # a periodic state, and a probe within one spacing of the front graph,
+    # decided at the spacing itself and one ulp inside it
+    periodic = make_state(make_grid(0.0, 2 * np.pi, 128, periodic=True), np.zeros(128))
+    with pytest.raises(ValueError, match=r"^velocity_at is line-mode only \(anchored reference kernel\)$"):
+        velocity_at(periodic, 0.0, 1.0)
+    st = _state(n=256)
+    g = st.grid
+    c_inf = far_field_value(st)
+    for x in (-40.0, g.x[0], g.x[100], 0.5 * (g.x[127] + g.x[128]), 0.3, 1.7, g.x[-1], 40.0):
+        height = float(np.interp(x, g.x, st.phi, left=c_inf, right=c_inf))
+        for y in (height + g.dx, np.nextafter(height + g.dx, -np.inf), height - g.dx, height):
+            if abs(y - height) < g.dx:
+                with pytest.raises(ValueError, match=r"^probe \(.*\) is within one spacing of the front; "
+                                                     r"velocity is singular there$"):
+                    velocity_at(st, x, y)
+            else:
+                velocity_at(st, x, y)
+
+
 def _assemble(flat, band, j0):
     theta = np.repeat(flat[:, None], flat.size, axis=1)
     theta[j0:j0 + len(band)] = band
@@ -411,6 +465,60 @@ def test_riesz_at_probes_matches_full_inverse_transform():
         u_sub, v_sub = _riesz_at_probes(flat, band, j0, d, rows, cols)
         assert np.max(np.abs(u_sub - u_full[np.ix_(rows, cols)])) <= 1e-12
         assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
+
+
+def _riesz_at_probes_axis0(flat, band, j0, d, rows, cols):
+    # _riesz_at_probes with each kx block laid out (y, kx) and transformed
+    # along axis 0, as first written
+    n = flat.size
+    half = n // 2
+    my = np.fft.ifftshift(np.arange(-half, half))
+    mx = np.arange(half)
+    dk = 2.0 * np.pi / (n * d)
+    ky, kx = dk * my, dk * mx
+    ky2 = ky * ky
+    ky2[half] = np.inf
+    phase = lambda m, j: np.exp(2.0j * np.pi * (np.multiply.outer(m, j) % n / n))
+    col = phase(mx, np.asarray(cols))
+    col[1:] *= 2.0
+    col = np.hstack((col, 1.0j * kx[:, None] * col))
+    band_x = np.fft.rfft(band)
+    part = np.zeros((n, col.shape[1]), dtype=complex)
+    width = max(1, velocity._BLOCK_ELEMENTS // n)
+    for c0 in range(0, half, width):
+        c1 = min(half, c0 + width)
+        spec = np.zeros((n, c1 - c0), dtype=complex)
+        spec[j0:j0 + len(band)] = band_x[:, c0:c1]
+        k2 = np.add.outer(ky2, kx[c0:c1] ** 2)
+        if c0 == 0:
+            spec[:, 0] += n * flat
+            k2[0, 0] = np.inf
+        spec = np.fft.fft(spec, axis=0)
+        k2 **= -0.5
+        spec *= k2
+        part += spec @ col[c0:c1]
+    p = len(cols)
+    part[:, :p] *= -1.0j * ky[:, None]
+    fields = (phase(np.asarray(rows), my) @ part).real / (n * n)
+    return fields[:, :p], fields[:, p:]
+
+
+@pytest.mark.parametrize("width", [None, 7])
+@pytest.mark.parametrize("n, j0, rows_in_band", [(256, 90, 40), (1024, 0, 1024), (1024, 500, 37), (2048, 1000, 60)])
+def test_riesz_at_probes_matches_the_axis0_layout(monkeypatch, width, n, j0, rows_in_band):
+    # the (kx, y) block layout transforms along the contiguous axis; its
+    # fields are bit for bit those of the (y, kx) layout, with the default
+    # blocks and with 7 columns a block (short last blocks)
+    if width is not None:
+        monkeypatch.setattr(velocity, "_BLOCK_ELEMENTS", width * n)
+    rng = np.random.default_rng(n + j0)
+    flat = rng.standard_normal(n)
+    flat[j0:j0 + rows_in_band] = 0.0
+    band = rng.standard_normal((rows_in_band, n))
+    rows, cols = [n - 56, 3, 3, n // 2, 0], [n - 1, 0, 77, n // 3]
+    for got, ref in zip(_riesz_at_probes(flat, band, j0, 0.3, rows, cols),
+                        _riesz_at_probes_axis0(flat, band, j0, 0.3, rows, cols)):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
