@@ -167,7 +167,7 @@ def initial_state(cfg: SimConfig) -> FrontState:
 def rhs(state: FrontState, cfg: SimConfig) -> np.ndarray:
     """Front tendency phi_t at the grid nodes."""
     if state.grid.periodic != cfg.grid.periodic:
-        raise ValueError("state grid periodicity does not match cfg.backend")
+        raise ValueError("state grid periodicity does not match cfg.grid.periodic")
     phix = state.slope
     if state.grid.periodic:
         return (nonlinear_term(state, phix)
@@ -195,10 +195,10 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     def opposing_kernel(i0, i1):
         return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
 
-    opposing = _pair_sum(opposing_kernel, g.n, phix) * g.dx
+    opposing = _pair_sum(opposing_kernel, g, phix) * g.dx
 
     # same diagonal-kink treatment as the forward grouping, sign folded
-    opposing -= _diagonal_jump_correction("contrast", phix, g.dx, periodic=True)
+    opposing -= _diagonal_jump_correction("contrast", phix, g)
 
     return (apply_linear_multiplier(state)
             + TWO_GAMMA_MINUS_LOG4 * phix

@@ -13,7 +13,8 @@ read-only. The spectral operators take them from the state's grid.
 
 A state owns its slope: `FrontState.slope` alone picks the derivative and
 computes it once. States are immutable, so it cannot go stale; the grid's
-nodes `LineGrid.x` are kept read-only the same way.
+nodes `LineGrid.x` are kept read-only the same way. A state compares and
+hashes by identity, so tables built from one state can be cached under it.
 
 DFT convention, fixed once for the whole package: forward transform
 ``c_k = sum_j v_j exp(-i xi_k x_j)`` without normalization, inverse carries
@@ -115,12 +116,14 @@ def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> Li
     return LineGrid(x_min=float(x_min), n=int(n), dx=float(length) / int(n), periodic=periodic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontState:
     """Front elevation samples phi(x_j) at time t, and their slope.
 
     Immutable: phi is a read-only copy of the samples given, and `with_phi`
-    builds a new state, whose slope is computed afresh.
+    builds a new state, whose slope is computed afresh. A state equals only
+    itself and hashes by identity, so tables built from it can be cached
+    under it (`functools.lru_cache`).
     """
 
     grid: LineGrid

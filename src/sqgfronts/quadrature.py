@@ -141,10 +141,11 @@ class KernelParams:
             raise ValueError(f"h must be positive, got {self.h}")
 
 
-def resolve_depth(state: FrontState, params: KernelParams) -> float:
-    """Reference depth h for this state; validates h + min(phi) > 0."""
+def resolve_depth(state: FrontState, params: KernelParams | None = None) -> float:
+    """Reference depth h for this state; validates h + min(phi) > 0. No
+    params, or params without h, give the adaptive default."""
     phi_min = float(np.min(state.phi))
-    h = params.h if params.h is not None else 1.0 + 2.0 * max(0.0, -phi_min)
+    h = params.h if params is not None and params.h is not None else 1.0 + 2.0 * max(0.0, -phi_min)
     if h + phi_min <= 0.0:
         raise ValueError(f"reference depth must satisfy h + min(phi) > 0, got h={h}, min(phi)={phi_min}")
     return float(h)
@@ -189,12 +190,15 @@ def _end_term(w_r, w_l, c, dx: float):
 
 
 def _end_term_at(w_r: float, w_l: float, c: float, dx: float) -> float:
-    """`_end_term` for one target, by scalar `math` calls."""
+    """`_end_term` for one target, by scalar `math` calls. Finite wherever
+    every |w| + sqrt(w^2 + c^2) is, and c^2 where a w < 0: w / root^3 is
+    formed as (w / root) / root^2, which cannot overflow. Past that it is
+    infinite, or raises ValueError (math.log(0)) where a w < 0 overflowed."""
     total = 0.0
     for w in (w_r, w_l):
         root = math.hypot(w, c)
         big = abs(w) + root
-        total += dx * dx / 12.0 * w / root**3 - math.log(big if w >= 0.0 else c * c / big)
+        total += dx * dx / 12.0 * (w / root) / (root * root) - math.log(big if w >= 0.0 else c * c / big)
     return total
 
 
@@ -368,8 +372,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool = False,
-              threaded: bool = False) -> np.ndarray:
+def _pair_sum(kernel_rows, grid, rho, *, symmetric: bool = False, threaded: bool = False) -> np.ndarray:
     """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
 
     Returns, for every row i,
@@ -380,8 +383,9 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     formed.
 
     kernel_rows(i0, i1) returns rows i0:i1 of K as a fresh float array; the
-    helper overwrites it and never reads its diagonal. The weight w_j is 1/2
-    at j = 0 and n-1 when `ends` (the trapezoid end weights) and 1 otherwise.
+    helper overwrites it and never reads its diagonal. The weights follow the
+    grid, of which only `n` and `periodic` are read: w_j = 1 on a periodic
+    grid, and the trapezoid weights (1/2 at j = 0 and n-1) on the line.
 
     With `symmetric` (K_ij = K_ji) kernel_rows(i0, i1) returns only the
     columns i0:n of those rows, so each entry above the diagonal blocks is
@@ -413,7 +417,8 @@ def _pair_sum(kernel_rows, n: int, rho, *, ends: bool = False, symmetric: bool =
     and it must call no public function of the package (a tracer that wraps
     those keeps one span stack).
     """
-    w = _trapezoid_weights(n) if ends else np.ones(n)
+    n = grid.n
+    w = np.ones(n) if grid.periodic else _trapezoid_weights(n)
     rhs = np.column_stack((w, w * rho))
     size = max(1, _BLOCK_ELEMENTS // n)
     starts = range(0, n, size)
@@ -508,7 +513,7 @@ def _even_toeplitz_product(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(circulant) * np.fft.rfft(v, 2 * n), 2 * n)[:n]
 
 
-def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
+def _diagonal_jump_correction(kind: str, phix: np.ndarray, grid) -> np.ndarray:
     """Euler-Maclaurin term for the integrand's kink at x' = x.
 
     Trapezoid sums with the two-sided average at the singular node cancel the
@@ -521,10 +526,12 @@ def _diagonal_jump_correction(kind: str, phix: np.ndarray, dx: float, periodic: 
         front kernel 1/sqrt(s^2+dphi^2) * drho (velocity routes): F = -phi_xx / r
 
     with r = sqrt(1 + phi_x^2), and phi_xx and dF/dx come from the 4th-order
-    stencil. The returned array is dx^2/12 * dF/dx, to add to the assembled
-    quadrature. A stencil difference sums to zero over a periodic grid, so
-    the term leaves the mean of a periodic front's tendency at rounding.
+    stencil on the grid (wrapped where it is periodic). The returned array is
+    dx^2/12 * dF/dx, to add to the assembled quadrature. A stencil difference
+    sums to zero over a periodic grid, so the term leaves the mean of a
+    periodic front's tendency at rounding.
     """
+    dx, periodic = grid.dx, grid.periodic
     rho1 = stencil_derivative(phix, dx, periodic)
     if kind == "contrast":
         flux = rho1 * (1.0 - 1.0 / np.sqrt(1.0 + phix * phix))
@@ -568,7 +575,7 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     phi = state.phi
     rho = np.asarray(phix, dtype=np.float64)
     n, dx = g.n, g.dx
-    diag_coda = _diagonal_jump_correction("contrast", rho, dx, g.periodic)
+    diag_coda = _diagonal_jump_correction("contrast", rho, g)
 
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
@@ -581,14 +588,12 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
 
     # the kernel is symmetric in (x, x'); the diagonal carries the odd-jump
     # average 0
-    if g.periodic:
-        return _pair_sum(contrast, n, rho, symmetric=True, threaded=True) * dx + diag_coda
-
-    out = _pair_sum(contrast, n, rho, ends=True, symmetric=True, threaded=True) * dx
-    # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
-    b = _end_distances(g)
-    ends = _end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx)
-    return out + rho * ends + diag_coda
+    out = _pair_sum(contrast, g, rho, symmetric=True, threaded=True) * dx
+    if not g.periodic:
+        # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
+        b = _end_distances(g)
+        out += rho * (_end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx))
+    return out + diag_coda
 
 
 def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
@@ -610,7 +615,7 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
     n, dx = g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
-    diag_coda = _diagonal_jump_correction("bare", rho, dx, periodic=False)
+    diag_coda = _diagonal_jump_correction("bare", rho, g)
 
     sep = _separation(g)[n - 1:]  # by node offset 0..n-1
     inv_s = 1.0 / sep
@@ -682,7 +687,6 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
     the height from exact O(n) row sums, to rounding. The unit reference
     enters through its trapezoid sum, the same at every target.
     """
-    params = params or KernelParams()
     g = state.grid
     if g.periodic:
         raise ValueError("background_term is line-mode only")

@@ -27,10 +27,11 @@ by trapezoid plus tails: u = -(trap(front - q) dx + E_probe(|y - phi_inf|)
 q = 1/sqrt(x'^2 + 1), w the trapezoid weights and E the end terms below.
 q and E(1) depend on the grid alone and are built once per grid
 (`quadrature._unit_reference`); the complex nodes x' + i phi', the weight
-matrix [w, w rho] and q . (w rho) depend on the state alone and are built
-on its first sample (`_probe_tables`), so a sample is five array operations
-over the nodes. The field does not depend on h, so `velocity_at` takes the
-shift as an optional argument it does not read.
+matrix [w, w rho] and q . (w rho) depend on the state alone and are kept
+for the last state sampled (`_probe_tables`, cached under the state, which
+hashes by identity), so a sample is five array operations over the nodes.
+The field does not depend on h, so `velocity_at` takes the shift as an
+optional argument it does not read.
 
 Two independent routes to the front's normal velocity are kept deliberately
 separate (their agreement is an acceptance check, not an assumption):
@@ -54,6 +55,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -119,7 +121,6 @@ def _trapezoid(values: np.ndarray) -> float:
 def galilean_shift(state: FrontState, params: KernelParams | None = None) -> GalileanShift:
     """Galilean constants for the current front shape."""
     _require_line(state, "galilean_shift")
-    params = params or KernelParams()
     h = resolve_depth(state, params)
     g = state.grid
     x, dx = g.x, g.dx
@@ -137,30 +138,20 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
 
 
-# the probe tables of the last state sampled, as one (state, tables) tuple;
-# FrontState is immutable, so tables found under the same state never go stale
-_probe_memo = (None, None)
-
-
+@lru_cache(maxsize=1)
 def _probe_tables(state: FrontState) -> tuple:
-    """What every `velocity_at` sample of `state` shares, built once per state:
-    the complex nodes z = x' + i phi', the unit reference q, the weight matrix
-    W = [w, w rho] (w the trapezoid weights), q . (w rho), E(1), phi_inf,
-    and the nodes x' and heights phi' as lists. One entry, keyed by the
-    state's identity and replaced as one tuple, so a sample reads either the
-    old entry or the new one whole."""
-    global _probe_memo
-    memo = _probe_memo
-    if memo[0] is not state:
-        g = state.grid
-        x = g.x
-        q, e1 = _unit_reference(g)
-        w = _trapezoid_weights(g.n)
-        w_rho = w * state.slope
-        memo = state, (x + 1j * state.phi, q, np.column_stack((w, w_rho)), float(q @ w_rho), e1,
-                       far_field_value(state), x.tolist(), state.phi.tolist())
-        _probe_memo = memo
-    return memo[1]
+    """What every `velocity_at` sample of `state` shares: the complex nodes
+    z = x' + i phi', the unit reference q, the weight matrix W = [w, w rho]
+    (w the trapezoid weights), q . (w rho), E(1), phi_inf, and the nodes x'
+    and heights phi' as lists. Kept for the last state sampled; a state
+    hashes by identity and never changes, so its tables never go stale."""
+    g = state.grid
+    x = g.x
+    q, e1 = _unit_reference(g)
+    w = _trapezoid_weights(g.n)
+    w_rho = w * state.slope
+    return (x + 1j * state.phi, q, np.column_stack((w, w_rho)), float(q @ w_rho), e1,
+            far_field_value(state), x.tolist(), state.phi.tolist())
 
 
 def _height_at(nodes: list, heights: list, c_inf: float, x: float) -> float:
@@ -191,14 +182,16 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     plus end correction of the probe-centered front kernel and of q
     (`quadrature._end_term`). Both trapezoid sums come from one product of
     front - q with the weight matrix [w, w rho]; z', that matrix, q . (w rho),
-    E(1) and phi_inf depend on the state alone and are built on its first
-    sample (`_probe_tables`). So `shift` is optional and not read (the field
-    does not depend on the depth h); the argument stays for the callers that
-    pass one.
+    E(1) and phi_inf depend on the state alone and are kept for the last
+    state sampled (`_probe_tables`). So `shift` is optional and not read (the
+    field does not depend on the depth h); the argument stays for the
+    callers that pass one.
 
     The probe may sit outside the grid window in x; tails use the flat
-    continuation of the front. Raises if a coordinate is not finite or the
-    probe is within one grid spacing of the front graph.
+    continuation of the front. Raises if a coordinate is not finite, the
+    probe is within one grid spacing of the front graph, or it is so far
+    out that its end terms overflow: about 9e307 from the window, or, beyond
+    its ends, 1e154 from the far-field level.
     """
     _require_line(state, "velocity_at")
     for name, value in (("x", x), ("y", y)):
@@ -216,7 +209,12 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     np.reciprocal(kernel, out=kernel)
     kernel -= q  # trap(front - q) stays one sum: split, it moved u by 2e-14
     t_u, t_v = (kernel @ weights).tolist()
-    u = -(t_u * dx + _end_term_at(nodes[-1] - x, x - nodes[0], abs(y - c_inf), dx) - e1)
+    try:
+        u = -(t_u * dx + _end_term_at(nodes[-1] - x, x - nodes[0], abs(y - c_inf), dx) - e1)
+    except ValueError:  # math.log(0): an end distance overflowed, see _end_term_at
+        u = math.nan
+    if not math.isfinite(u):
+        raise ValueError(f"probe ({x}, {y}) is too far from the front: its end terms overflow")
     v = -(t_v + q_rho) * dx
     return VelocitySample(x=float(x), y=float(y), u=u, v=v)
 
@@ -232,7 +230,6 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     from `quadrature._strip_row_sums`, as in the background audit.
     """
     _require_line(state, "normal_velocity_background")
-    params = params or KernelParams()
     h = resolve_depth(state, params)
     g = state.grid
     phi = state.phi
@@ -241,14 +238,14 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     c_inf = far_field_value(state)
     c1 = phi + h
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
+    diag_coda = _diagonal_jump_correction("front", rho, g)
 
     s2 = _by_offset(_separation(g) ** 2, n)
 
     # front kernel against the slope contrast, minus rho(x) times the strip row
     # sum, whose node carries the smooth value 1/c1
-    front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), n, rho,
-                      ends=True, symmetric=True)
+    front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), g, rho,
+                      symmetric=True)
     strip = _strip_row_sums(g, c1) + _trapezoid_weights(n) / c1
     out = (front - rho * strip) * dx
     b = _end_distances(g)
@@ -274,7 +271,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     c_inf = far_field_value(state)
     d = h + c_inf
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
+    diag_coda = _diagonal_jump_correction("front", rho, g)
 
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
     s2 = _by_offset(_separation(g) ** 2, n)
@@ -285,7 +282,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
         return k
 
     # the diagonal's odd jump (+- phi_xx / sqrt(1+phi_x^2)) averages to 0
-    out = _pair_sum(anchored, n, rho, ends=True) * dx
+    out = _pair_sum(anchored, g, rho) * dx
     # front kernel at the target's clamped end distances, reference at the anchor
     ends = _end_term(*_end_distances(g), d1, dx) - _end_term(x[-1], -x[0], d, dx)
     j_term = out + rho * ends + diag_coda
@@ -436,7 +433,6 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     box at fixed cell size halves it (better, in practice).
     """
     _require_line(state, "box_riesz_crosscheck")
-    params = params or KernelParams()
     h = resolve_depth(state, params)
     phi_max = float(np.max(state.phi))
     if max(phi_max, h) > 0.4 * box.size / 2.0:
@@ -446,13 +442,13 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     d = size / n
     coords = -0.5 * size + d * np.arange(n)
     sigma = _SMOOTHING_CELLS * d
-    c_inf = far_field_value(state)
+    *_, c_inf, nodes, heights = _probe_tables(state)
 
     cols = [int(np.argmin(np.abs(coords - xp))) for xp in box.probe_x]
     rows = [int(np.argmin(np.abs(coords - yp))) for yp in box.probe_y]
     margin = 5.0 * sigma + 2.0 * d
     for ic in cols:
-        phi_here = float(np.interp(coords[ic], state.grid.x, state.phi, left=c_inf, right=c_inf))
+        phi_here = _height_at(nodes, heights, c_inf, float(coords[ic]))
         for jc in rows:
             yg = float(coords[jc])
             if not (yg > phi_here + margin or yg < -h - margin):

@@ -410,6 +410,17 @@ def test_velocity_map_probe_on_front(tmp_path):
     assert code == 2  # singular probe reported as a usage error
 
 
+@pytest.mark.parametrize("probe_x, code", [("1e104", 0), ("-1e307", 0), ("1.7e308", 2)])
+def test_velocity_map_far_probes_exit_cleanly(probe_x, code, tmp_path, capsys):
+    # finite far probes are sampled; one whose end terms overflow is a usage
+    # error that names it, never a traceback
+    cfg = _write_cfg(tmp_path, LINE_CFG)
+    assert main(["velocity-map", "--config", cfg, f"--probe-x={probe_x}", "--probe-y=3.0",
+                 "--out", str(tmp_path / "vm")]) == code
+    if code:
+        assert f"probe ({float(probe_x)}, 3.0) is too far" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--probe-x", "--probe-y"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_velocity_map_refuses_non_finite_probes(flag, value, tmp_path, capsys):

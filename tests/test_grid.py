@@ -96,6 +96,18 @@ def test_state_keeps_the_grid_derivative_as_its_slope(periodic):
     assert np.array_equal(moved.slope, 2.0 * want)
 
 
+def test_state_compares_and_hashes_by_identity():
+    # a state equals only itself, even against a state with the same samples,
+    # and it hashes, so it can key a cache or sit in a set
+    g = make_grid(-30.0, 60.0, 64)
+    st = make_state(g, np.exp(-(g.x**2)))
+    twin = st.with_phi(st.phi)
+    assert st == st and st != twin
+    assert st in [st] and twin not in [st]
+    assert hash(st) == hash(st)
+    assert len({st, twin}) == 2 and len({st, st}) == 1
+
+
 def test_far_field_and_support():
     g = make_grid(-30.0, 60.0, 600)
     phi = np.exp(-(g.x**2))

@@ -20,6 +20,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -165,7 +166,7 @@ def test_diagonal_correction_leaves_the_periodic_mean(kind):
     # the correction is a stencil difference, which telescopes over a
     # periodic grid; the expanded jumps summed to -2e-8 here
     st = _asymmetric_periodic_front(64)
-    coda = _diagonal_jump_correction(kind, st.slope, st.grid.dx, periodic=True)
+    coda = _diagonal_jump_correction(kind, st.slope, st.grid)
     assert abs(coda.sum()) <= 64 * np.finfo(float).eps * np.abs(coda).sum()
 
 
@@ -177,7 +178,7 @@ def test_diagonal_correction_matches_the_expanded_jumps(kind):
     for n in (128, 256, 512):
         st = _asymmetric_periodic_front(n)
         dx = st.grid.dx
-        jump = _diagonal_jump_correction(kind, st.slope, dx, periodic=True) * 12.0 / dx**2
+        jump = _diagonal_jump_correction(kind, st.slope, st.grid) * 12.0 / dx**2
         expanded = _diagonal_jump_expanded(kind, st.slope, dx)
         assert np.max(np.abs(jump - expanded)) <= 3e-5 * (512 / n) ** 4 * np.max(np.abs(expanded))
 
@@ -284,6 +285,12 @@ def test_cosine_integral_truncation_sweep():
         cosine_integral_constant(inner=10.0)
 
 
+def _pair_grid(n, periodic=True):
+    # `_pair_sum` reads only these two fields of its grid; a stand-in also
+    # takes the odd n that LineGrid refuses
+    return types.SimpleNamespace(n=n, periodic=periodic)
+
+
 def _direct_pair_sum(kern, rho, ends, diag=0.0):
     # broadcast double sum with the trapezoid end weights: the slope-contrast
     # sum, or with rho None the plain row sum; the diagonal is replaced by diag
@@ -302,8 +309,9 @@ def _direct_pair_sum(kern, rho, ends, diag=0.0):
 @pytest.mark.parametrize("contrast", [True])
 def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast):
     # rows per block on a 40-node grid: one block (None), one row per block,
-    # and sizes that leave a short last block; the slope-contrast sum is the
-    # one mode _pair_sum has, and its axis keeps the case ids stable
+    # and sizes that leave a short last block; `ends` is a line grid (the
+    # trapezoid end weights), against a periodic one. The slope-contrast sum
+    # is the one mode _pair_sum has, and its axis keeps the case ids stable
     n = 40
     if block_rows is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
@@ -316,7 +324,7 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block
 
-    got = _pair_sum(rows, n, rho, ends=ends)
+    got = _pair_sum(rows, _pair_grid(n, periodic=not ends), rho)
     assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
@@ -326,8 +334,9 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
 @pytest.mark.parametrize("n", [40, 41])
 def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast, n):
     # triangular row blocks: one block (None), one row per block, and sizes
-    # that leave a short last block on an even and an odd grid; the
-    # slope-contrast sum is the one mode, its axis keeps the case ids stable
+    # that leave a short last block on an even and an odd grid, line (`ends`)
+    # or periodic; the slope-contrast sum is the one mode, its axis keeps the
+    # case ids stable
     if block_rows is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
     rng = np.random.default_rng(11)
@@ -341,7 +350,7 @@ def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_r
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:]
 
-    got = _pair_sum(upper_rows, n, rho, ends=ends, symmetric=True)
+    got = _pair_sum(upper_rows, _pair_grid(n, periodic=not ends), rho, symmetric=True)
     assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
@@ -359,10 +368,10 @@ def test_nonlinear_term_triangular_matches_full_rows(monkeypatch, periodic, n):
     triangular = nonlinear_term(st, phix)
     pair_sum = quadrature._pair_sum
 
-    def full_rows(kernel_rows, n, rho, *, symmetric=False, **kw):
+    def full_rows(kernel_rows, grid, rho, *, symmetric=False, **kw):
         assert symmetric
-        whole = kernel_rows(0, n)
-        return pair_sum(lambda i0, i1: whole[i0:i1].copy(), n, rho, **kw)
+        whole = kernel_rows(0, grid.n)
+        return pair_sum(lambda i0, i1: whole[i0:i1].copy(), grid, rho, **kw)
 
     monkeypatch.setattr(quadrature, "_pair_sum", full_rows)
     assert np.max(np.abs(triangular - nonlinear_term(st, phix))) <= 1e-16
@@ -432,15 +441,16 @@ def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, co
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:] if symmetric else block
 
-    kw = {"ends": mode == "ends", "symmetric": symmetric, "threaded": True}
+    grid = _pair_grid(n, periodic=mode != "ends")
+    kw = {"symmetric": symmetric, "threaded": True}
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, n, rho, **kw)
+    one_core = _pair_sum(rows, grid, rho, **kw)
     assert set(threads) == {threading.main_thread()}
     threads.clear()
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, cores)
     hold_first = cores > 1
-    assert np.array_equal(_pair_sum(rows, n, rho, **kw), one_core)
+    assert np.array_equal(_pair_sum(rows, grid, rho, **kw), one_core)
     assert later_done.is_set() == hold_first
     if hold_first:  # the calling thread only waits
         assert threading.main_thread() not in threads
@@ -465,7 +475,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
         return kern[i0:i1, i0:].copy()
 
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, n, rho, symmetric=True, threaded=True)
+    one_core = _pair_sum(rows, _pair_grid(n), rho, symmetric=True, threaded=True)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 6)
     monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(6))
@@ -474,7 +484,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
     try:
         for _ in range(5):
             claimed.clear()
-            assert np.array_equal(_pair_sum(rows, n, rho, symmetric=True, threaded=True), one_core)
+            assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, symmetric=True, threaded=True), one_core)
             assert sorted(claimed) == list(range(n))
     finally:
         sys.setswitchinterval(interval)
@@ -571,7 +581,7 @@ def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
     monkeypatch.setattr(quadrature, "_pool", CountingPool(8))
     rng = np.random.default_rng(4)
     kern = rng.standard_normal((n, n))
-    _pair_sum(lambda i0, i1: kern[i0:i1].copy(), n, rng.standard_normal(n), threaded=True)
+    _pair_sum(lambda i0, i1: kern[i0:i1].copy(), _pair_grid(n), rng.standard_normal(n), threaded=True)
     assert quadrature._pool.submitted == 3
 
 
@@ -624,16 +634,16 @@ def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch
             inside.remove(i0)
 
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, n, rho, threaded=True)
+    one_core = _pair_sum(rows, _pair_grid(n), rho, threaded=True)
     fail = True
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="block 0 failed"):
-        _pair_sum(rows, n, rho, threaded=True)
+        _pair_sum(rows, _pair_grid(n), rho, threaded=True)
     assert inside == []
     assert failed_on and threading.main_thread() not in failed_on
     fail = False
-    assert np.array_equal(_pair_sum(rows, n, rho, threaded=True), one_core)
+    assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, threaded=True), one_core)
 
 
 def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
@@ -666,7 +676,7 @@ def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="block 0 failed"):
-        _pair_sum(rows, n, np.ones(n), threaded=True)
+        _pair_sum(rows, _pair_grid(n), np.ones(n), threaded=True)
     assert len(after_error) <= 4
 
 
@@ -705,7 +715,7 @@ def test_pair_sum_drops_kept_products_once_a_block_raises(monkeypatch, fresh_poo
     tracemalloc.start()
     try:
         with pytest.raises(RuntimeError, match="block 0 failed"):
-            _pair_sum(rows, n, np.ones(n), symmetric=True, threaded=True)
+            _pair_sum(rows, _pair_grid(n), np.ones(n), symmetric=True, threaded=True)
     finally:
         tracemalloc.stop()
     assert held["before"] - held["after"] >= kept / 2
@@ -865,11 +875,11 @@ def _linear_term_dense(state, phix):
     n, dx = g.n, g.dx
     sep = _separation(g)
     inv_s = _by_offset(1.0 / sep, n)
-    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), n, phix, ends=True)
+    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), g, phix)
     own = _direct_pair_sum(_by_offset(-1.0 / np.hypot(sep, 1.0), n), None, True, -1.0)
     b = _end_distances(g)
     return ((bare + phix * own) * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
-            + _diagonal_jump_correction("bare", phix, dx, periodic=False))
+            + _diagonal_jump_correction("bare", phix, g))
 
 
 def _background_term_dense(state, phix, params):

@@ -152,7 +152,7 @@ def _normal_velocity_background_dense(state, depths):
     front = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(np.subtract.outer(phi, phi))), rho, True)
     b = _end_distances(g)
     front_end = _end_term(*b, phi - far_field_value(state), dx)
-    diag_coda = _diagonal_jump_correction("front", rho, dx, periodic=False)
+    diag_coda = _diagonal_jump_correction("front", rho, g)
     out = []
     for h in depths:
         c1 = phi + resolve_depth(state, KernelParams(h=h))
@@ -281,6 +281,38 @@ def test_box_probe_inside_strip_rejected():
         box_riesz_crosscheck(st, BoxSpec(size=80.0, n=1024, probe_y=(0.2,)), KernelParams(h=1.0))
 
 
+def test_box_probe_beyond_the_window_reads_the_far_field_level():
+    # the grid window [-10, 10) ends inside the box; beyond it the front is
+    # its flat continuation at phi_inf = 1.5, so a column at x = 15 is
+    # refused just above 1.5 (the strip's top), as at x = 5, and taken well
+    # above it
+    g = make_grid(-10.0, 20.0, 512)
+    st = make_state(g, 1.5 + 0.5 * np.exp(-((g.x / 2.0) ** 2)))
+    p = KernelParams(h=1.0)
+    for x in (5.0, 15.0):
+        with pytest.raises(ValueError, match="inside or too close to the strip"):
+            box_riesz_crosscheck(st, BoxSpec(size=40.0, n=1024, probe_x=(x,), probe_y=(1.6,)), p)
+    rep = box_riesz_crosscheck(st, BoxSpec(size=40.0, n=1024, probe_x=(15.0,), probe_y=(3.0, -5.0)), p)
+    assert rep["probes"] == 2 and np.isfinite(rep["sup"])
+
+
+@pytest.mark.parametrize("x", [1e104, -1e104, 1e307, -1e307])
+def test_velocity_at_far_probes_stay_finite(x):
+    # the window's end terms at a distance whose cube overflows; at such a
+    # distance the front adds nothing, and the sample is the far-field law
+    # at the front's level, (2 log|y - phi_inf|, 0)
+    st = _state(n=256)
+    s = velocity_at(st, x, 3.0)
+    assert np.isfinite(s.u) and np.isfinite(s.v)
+    assert abs(s.u - 2.0 * np.log(3.0)) <= 1e-10 and abs(s.v) <= 1e-10
+
+
+@pytest.mark.parametrize("x, y", [(1.7e308, 3.0), (-1.7e308, 3.0), (40.0, -1e200)])
+def test_velocity_at_refuses_probes_whose_end_terms_overflow(x, y):
+    with pytest.raises(ValueError, match=r"^probe \(.*\) is too far from the front: its end terms overflow$"):
+        velocity_at(_state(n=256), x, y)
+
+
 def _velocity_at_scalar_tails(st, x, y, sh):
     # velocity_at as first written: one scalar log tail per window end and
     # per kernel, explicit trapezoid weights
@@ -351,8 +383,8 @@ def test_velocity_at_refuses_non_finite_probes(coordinate, value):
         velocity_at(_state(n=256), **probe)
 
 
-def test_velocity_at_tables_follow_the_state(monkeypatch):
-    # the per-state tables are one entry keyed by the state: probes that run
+def test_velocity_at_tables_follow_the_state():
+    # the per-state tables are one cache entry under the state: probes that run
     # on one state, switch to another on the same grid and to states on a
     # second grid each read their own state's tables, and equal a sample
     # taken with the tables built afresh
@@ -367,7 +399,7 @@ def test_velocity_at_tables_follow_the_state(monkeypatch):
     fresh = []
     for i in order:
         for x, y in probes:
-            monkeypatch.setattr(velocity, "_probe_memo", (None, None))
+            velocity._probe_tables.cache_clear()
             fresh.append(velocity_at(states[i], x, y))
     assert interleaved == fresh
 
