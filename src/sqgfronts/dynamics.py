@@ -197,8 +197,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
 
     opposing = _pair_sum(opposing_kernel, g, phix) * g.dx
 
-    # same diagonal-kink treatment as the forward grouping, sign folded
-    opposing -= _diagonal_jump_correction("contrast", phix, g)
+    opposing += _diagonal_jump_correction(kernel_difference(1.0, phix), phix, g)
 
     return (apply_linear_multiplier(state)
             + TWO_GAMMA_MINUS_LOG4 * phix

@@ -33,18 +33,18 @@ kernels, in which the constant cancels. The correction lifts the scheme
 from O(dx^2) to O(dx^4); without it the endpoint error of the slowly
 decaying kernels dominates everything else.
 
-Diagonal rule: the nonlinear integrand has an odd jump at x' = x with
-one-sided limits +(-) phi_xx (sqrt(1+phi_x^2)-1)/sqrt(1+phi_x^2) from the
-right (left); the linear integrand jumps by -(+) phi_xx around the smooth
-value -phi_x. The singular node takes the two-sided average (0 and
--phi_x respectively), which cancels the value jump exactly, and adds the
-dx^2/12 Euler-Maclaurin term for the surviving one-sided derivative jump;
-together the scheme is O(dx^4). Each kernel's derivative jump is the exact
-x-derivative of one flux (phi_xx (1 - 1/r) for the contrast kernel, with
-r = sqrt(1 + phi_x^2)), so the term is the 4th-order stencil difference of
-that flux (see _diagonal_jump_correction). A stencil difference sums to
-zero over a periodic grid, so the correction leaves the front's mean fixed
-to rounding, as the exact tendency, an x-derivative, does.
+Diagonal rule: every integrand here is a slope contrast times a kernel,
+(rho(x) - rho(x')) K(s, dphi), with K even in s and in dphi and homogeneous
+of degree -1, so it jumps at x' = x with one-sided limits -+F as s -> 0+-,
+F = -phi_xx K(1, phi_x). The singular node takes the two-sided average (0,
+plus the smooth value -phi_x of the linear term's recentered reference),
+which cancels the value jump exactly, and adds the dx^2/12 Euler-Maclaurin
+term for the surviving one-sided derivative jump, dF/dx; together the
+scheme is O(dx^4). Each op passes its own kernel at unit separation, so the
+term is the 4th-order stencil difference of that flux (see
+_diagonal_jump_correction). A stencil difference sums to zero over a
+periodic grid, so the correction leaves the front's mean fixed to rounding,
+as the exact tendency, an x-derivative, does.
 
 Pair sums. The grid is uniform, so a kernel of s alone is an even
 Toeplitz matrix, and the line ops that have only such kernels or the
@@ -172,8 +172,9 @@ def _log_w_plus_root(w, c):
     where w < 0 (c = 0 with w > 0 gives log 2w)."""
     w = np.asarray(w, dtype=np.float64)
     big = np.abs(w) + np.hypot(w, c)
-    # for w < 0, w + root = c^2 / (|w| + root), free of the cancellation
-    return np.log(np.where(w >= 0.0, big, np.square(c) / big))
+    # for w < 0, w + root = c^2 / (|w| + root), free of the cancellation;
+    # c / big <= 1 first, so the product cannot overflow
+    return np.log(np.where(w >= 0.0, big, c / big * c))
 
 
 def _end_term(w_r, w_l, c, dx: float):
@@ -191,14 +192,15 @@ def _end_term(w_r, w_l, c, dx: float):
 
 def _end_term_at(w_r: float, w_l: float, c: float, dx: float) -> float:
     """`_end_term` for one target, by scalar `math` calls. Finite wherever
-    every |w| + sqrt(w^2 + c^2) is, and c^2 where a w < 0: w / root^3 is
-    formed as (w / root) / root^2, which cannot overflow. Past that it is
-    infinite, or raises ValueError (math.log(0)) where a w < 0 overflowed."""
+    every |w| + sqrt(w^2 + c^2) is: w / root^3 is formed as
+    (w / root) / root^2, and c^2 / big as c / big * c with c / big <= 1,
+    neither of which can overflow. Past that it is infinite, or raises
+    ValueError (math.log(0)) where a w < 0 overflowed."""
     total = 0.0
     for w in (w_r, w_l):
         root = math.hypot(w, c)
         big = abs(w) + root
-        total += dx * dx / 12.0 * (w / root) / (root * root) - math.log(big if w >= 0.0 else c * c / big)
+        total += dx * dx / 12.0 * (w / root) / (root * root) - math.log(big if w >= 0.0 else c / big * c)
     return total
 
 
@@ -513,34 +515,29 @@ def _even_toeplitz_product(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(circulant) * np.fft.rfft(v, 2 * n), 2 * n)[:n]
 
 
-def _diagonal_jump_correction(kind: str, phix: np.ndarray, grid) -> np.ndarray:
+def _diagonal_jump_correction(unit_kernel, phix: np.ndarray, grid) -> np.ndarray:
     """Euler-Maclaurin term for the integrand's kink at x' = x.
 
-    Trapezoid sums with the two-sided average at the singular node cancel the
-    value jump but keep an O(dx^2) error dx^2/12 * (f'(0+) - f'(0-)). Each
-    one-sided derivative jump, fixed against an eps-refinement oracle, is the
-    x-derivative of one flux F:
+    unit_kernel is K(1, phi_x), the caller's own kernel K(s, dphi) at unit
+    separation along the front's tangent (a scalar, or an array over the
+    nodes). Trapezoid sums with the two-sided average at the singular node
+    cancel the value jump but keep an O(dx^2) error dx^2/12 * (f'(0+) - f'(0-))
+    of the integrand f = (rho(x) - rho(x')) K. Every kernel here is even in s
+    and in dphi and homogeneous of degree -1, so f tends to -+F as s -> 0+-,
+    with the flux
 
-        contrast kernel (1/sqrt(s^2+dphi^2) - 1/|s|) * drho:  F = phi_xx (1 - 1/r)
-        bare 1/|s| * drho (linear term):                      F = -phi_xx
-        front kernel 1/sqrt(s^2+dphi^2) * drho (velocity routes): F = -phi_xx / r
+        F = -phi_xx K(1, phi_x),
 
-    with r = sqrt(1 + phi_x^2), and phi_xx and dF/dx come from the 4th-order
-    stencil on the grid (wrapped where it is periodic). The returned array is
-    dx^2/12 * dF/dx, to add to the assembled quadrature. A stencil difference
-    sums to zero over a periodic grid, so the term leaves the mean of a
-    periodic front's tendency at rounding.
+    and, f being antisymmetric in (x, x'), its one-sided derivative jump is
+    dF/dx. K(1, p) = 1/sqrt(1+p^2) - 1, 1 and 1/sqrt(1+p^2) give the
+    contrast, bare and front kernels' fluxes. phi_xx and dF/dx come from the
+    4th-order stencil on the grid (wrapped where it is periodic); the
+    returned array is dx^2/12 * dF/dx, to add to the assembled quadrature. A
+    stencil difference sums to zero over a periodic grid, so the term leaves
+    the mean of a periodic front's tendency at rounding.
     """
     dx, periodic = grid.dx, grid.periodic
-    rho1 = stencil_derivative(phix, dx, periodic)
-    if kind == "contrast":
-        flux = rho1 * (1.0 - 1.0 / np.sqrt(1.0 + phix * phix))
-    elif kind == "bare":
-        flux = -rho1
-    elif kind == "front":
-        flux = -rho1 / np.sqrt(1.0 + phix * phix)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    flux = -stencil_derivative(phix, dx, periodic) * unit_kernel
     return dx * dx / 12.0 * stencil_derivative(flux, dx, periodic)
 
 
@@ -575,7 +572,7 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     phi = state.phi
     rho = np.asarray(phix, dtype=np.float64)
     n, dx = g.n, g.dx
-    diag_coda = _diagonal_jump_correction("contrast", rho, g)
+    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0) - 1.0, rho, g)
 
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
@@ -615,7 +612,7 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
     n, dx = g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
-    diag_coda = _diagonal_jump_correction("bare", rho, g)
+    diag_coda = _diagonal_jump_correction(1.0, rho, g)
 
     sep = _separation(g)[n - 1:]  # by node offset 0..n-1
     inv_s = 1.0 / sep

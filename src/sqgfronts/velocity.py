@@ -190,8 +190,7 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     The probe may sit outside the grid window in x; tails use the flat
     continuation of the front. Raises if a coordinate is not finite, the
     probe is within one grid spacing of the front graph, or it is so far
-    out that its end terms overflow: about 9e307 from the window, or, beyond
-    its ends, 1e154 from the far-field level.
+    out that its end terms overflow: about 9e307 from the window.
     """
     _require_line(state, "velocity_at")
     for name, value in (("x", x), ("y", y)):
@@ -238,7 +237,7 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     c_inf = far_field_value(state)
     c1 = phi + h
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction("front", rho, g)
+    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0), rho, g)
 
     s2 = _by_offset(_separation(g) ** 2, n)
 
@@ -271,7 +270,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     c_inf = far_field_value(state)
     d = h + c_inf
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction("front", rho, g)
+    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0), rho, g)
 
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
     s2 = _by_offset(_separation(g) ** 2, n)
@@ -281,7 +280,7 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
         k -= ref
         return k
 
-    # the diagonal's odd jump (+- phi_xx / sqrt(1+phi_x^2)) averages to 0
+    # the diagonal's odd jump averages to 0
     out = _pair_sum(anchored, g, rho) * dx
     # front kernel at the target's clamped end distances, reference at the anchor
     ends = _end_term(*_end_distances(g), d1, dx) - _end_term(x[-1], -x[0], d, dx)

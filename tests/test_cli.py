@@ -421,6 +421,15 @@ def test_velocity_map_far_probes_exit_cleanly(probe_x, code, tmp_path, capsys):
         assert f"probe ({float(probe_x)}, 3.0) is too far" in capsys.readouterr().err
 
 
+def test_velocity_map_samples_a_far_probe_beyond_a_window_end(tmp_path):
+    cfg = _write_cfg(tmp_path, LINE_CFG)
+    out = tmp_path / "vm"
+    assert main(["velocity-map", "--config", cfg, "--probe-x", "100", "--probe-y=1e200",
+                 "--out", str(out)]) == 0
+    row = (out / "velocity_map.csv").read_text().splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in row)
+
+
 @pytest.mark.parametrize("flag", ["--probe-x", "--probe-y"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_velocity_map_refuses_non_finite_probes(flag, value, tmp_path, capsys):

@@ -113,35 +113,48 @@ def test_kernel_difference_basics():
         kernel_difference(0.0, 0.5)
 
 
-def _diagonal_limit_one_sided(phi_x, phi_xx):
-    """Nonlinear-integrand limit as x' -> x from the right (the module
-    docstring's diagonal rule); the left limit is the negative."""
-    r = np.sqrt(1.0 + phi_x * phi_x)
-    return phi_xx * (r - 1.0) / r
+# the kernel K(s, dphi) of every caller of the diagonal rule; each passes its
+# own K(1, phi_x)
+DIAGONAL_KERNELS = {
+    "contrast": lambda s, d: 1.0 / np.hypot(s, d) - 1.0 / np.abs(s),  # nonlinear_term
+    "front": lambda s, d: 1.0 / np.hypot(s, d),  # the two normal-velocity routes
+    "bare": lambda s, d: 1.0 / np.abs(s),  # linear_term_quadrature
+    "kernel_difference": kernel_difference,  # rhs_galilean_form
+}
+
+# d/dp K(1, p), r = sqrt(1 + p^2), by hand
+_UNIT_KERNEL_SLOPES = {
+    "contrast": lambda p, r: -p / r**3,
+    "front": lambda p, r: -p / r**3,
+    "bare": lambda p, r: 0.0 * p,
+    "kernel_difference": lambda p, r: p / r**3,
+}
 
 
 def test_diagonal_limit():
-    # the integrand (rho(x) - rho(x')) [1/sqrt(s^2 + dphi^2) - 1/|s|] of a
+    # the integrand (rho(x) - rho(x')) K(x' - x, phi(x) - phi(x')) of a
     # gaussian front, rho = phi_x, evaluated at x' = x +- eps; its one-sided
-    # limits are +-phi_xx (r - 1)/r, r = sqrt(1 + phi_x^2), and it closes on
-    # them at first order in eps
+    # limits are +-F, F = -phi_xx K(1, phi_x) (the module docstring's
+    # diagonal rule), and it closes on them at first order in eps. For the
+    # contrast kernel F = phi_xx (r - 1)/r, r = sqrt(1 + phi_x^2)
     a, w = 0.5, 2.0
     phi = lambda x: a * np.exp(-((x / w) ** 2))
     rho = lambda x: -2.0 * x / w**2 * phi(x)
     rho_x = lambda x: (4.0 * x**2 / w**4 - 2.0 / w**2) * phi(x)
 
-    def integrand(x, xp):
-        s = xp - x
-        return (rho(x) - rho(xp)) * (1.0 / np.hypot(s, phi(x) - phi(xp)) - 1.0 / abs(s))
+    for kernel in DIAGONAL_KERNELS.values():
+        def integrand(x, xp):
+            return (rho(x) - rho(xp)) * kernel(xp - x, phi(x) - phi(xp))
 
-    for x in (0.7, -1.9):
-        limit = _diagonal_limit_one_sided(rho(x), rho_x(x))
-        assert abs(limit) > 1e-3
-        for side in (1.0, -1.0):
-            errs = [abs(integrand(x, x + side * eps) - side * limit) for eps in (1e-2, 1e-3, 1e-4)]
-            assert errs[-1] < 1e-4 * abs(limit)
-            assert all(8.0 < e0 / e1 < 12.0 for e0, e1 in zip(errs, errs[1:]))
-    assert _diagonal_limit_one_sided(0.0, 2.5) == 0.0
+        for x in (0.7, -1.9):
+            limit = -rho_x(x) * kernel(1.0, rho(x))
+            assert abs(limit) > 1e-3
+            for side in (1.0, -1.0):
+                errs = [abs(integrand(x, x + side * eps) - side * limit) for eps in (1e-2, 1e-3, 1e-4)]
+                assert errs[-1] < 1e-4 * abs(limit)
+                assert all(8.0 < e0 / e1 < 12.0 for e0, e1 in zip(errs, errs[1:]))
+    # where phi_x = 0 the contrast kernel has no jump, whatever phi_xx
+    assert -2.5 * DIAGONAL_KERNELS["contrast"](1.0, 0.0) == 0.0
 
 
 def _asymmetric_periodic_front(n):
@@ -149,37 +162,37 @@ def _asymmetric_periodic_front(n):
     return make_state(g, 0.6 * np.cos(g.x) + 0.3 * np.sin(2.0 * g.x + 0.4) + 0.2 * np.cos(3.0 * g.x - 1.0))
 
 
-def _diagonal_jump_expanded(kind, phix, dx):
-    """The one-sided derivative jumps at x' = x written out term by term,
-    phi_xxx (1 - 1/r) + phi_x phi_xx^2 / r^3 (contrast) and
-    -phi_xxx / r + phi_x phi_xx^2 / r^3 (front), r = sqrt(1 + phi_x^2), with
-    phi_xx and phi_xxx by the 4th-order stencil on a periodic grid."""
+def _diagonal_jump_expanded(name, phix, dx):
+    """The one-sided derivative jump at x' = x written out term by term,
+    dF/dx = -phi_xxx K(1, phi_x) - phi_xx^2 dK/dp(1, phi_x): for the contrast
+    kernel phi_xxx (1 - 1/r) + phi_x phi_xx^2 / r^3, r = sqrt(1 + phi_x^2),
+    with phi_xx and phi_xxx by the 4th-order stencil on a periodic grid."""
     rho1 = stencil_derivative(phix, dx, True)
     rho2 = stencil_derivative(rho1, dx, True)
     r = np.sqrt(1.0 + phix * phix)
-    curv = phix * rho1 * rho1 / r**3
-    return rho2 * (1.0 - 1.0 / r) + curv if kind == "contrast" else -rho2 / r + curv
+    return -rho2 * DIAGONAL_KERNELS[name](1.0, phix) - rho1 * rho1 * _UNIT_KERNEL_SLOPES[name](phix, r)
 
 
-@pytest.mark.parametrize("kind", ["contrast", "front"])
-def test_diagonal_correction_leaves_the_periodic_mean(kind):
+@pytest.mark.parametrize("name", list(DIAGONAL_KERNELS))
+def test_diagonal_correction_leaves_the_periodic_mean(name):
     # the correction is a stencil difference, which telescopes over a
     # periodic grid; the expanded jumps summed to -2e-8 here
     st = _asymmetric_periodic_front(64)
-    coda = _diagonal_jump_correction(kind, st.slope, st.grid)
+    coda = _diagonal_jump_correction(DIAGONAL_KERNELS[name](1.0, st.slope), st.slope, st.grid)
     assert abs(coda.sum()) <= 64 * np.finfo(float).eps * np.abs(coda).sum()
 
 
-@pytest.mark.parametrize("kind", ["contrast", "front"])
-def test_diagonal_correction_matches_the_expanded_jumps(kind):
+@pytest.mark.parametrize("name", list(DIAGONAL_KERNELS))
+def test_diagonal_correction_matches_the_expanded_jumps(name):
     # the flux form and the expanded form both take the jump to 4th order in
     # dx, so their relative gap stays under a bound that falls 16x per dx
-    # halving (it reads 4.6e-3, 3.2e-4 and 2.0e-5 for the contrast kind)
+    # halving (it reads 4.6e-3, 3.2e-4 and 2.0e-5 for the contrast kernel)
     for n in (128, 256, 512):
         st = _asymmetric_periodic_front(n)
         dx = st.grid.dx
-        jump = _diagonal_jump_correction(kind, st.slope, st.grid) * 12.0 / dx**2
-        expanded = _diagonal_jump_expanded(kind, st.slope, dx)
+        unit_kernel = DIAGONAL_KERNELS[name](1.0, st.slope)
+        jump = _diagonal_jump_correction(unit_kernel, st.slope, st.grid) * 12.0 / dx**2
+        expanded = _diagonal_jump_expanded(name, st.slope, dx)
         assert np.max(np.abs(jump - expanded)) <= 3e-5 * (512 / n) ** 4 * np.max(np.abs(expanded))
 
 
@@ -879,7 +892,7 @@ def _linear_term_dense(state, phix):
     own = _direct_pair_sum(_by_offset(-1.0 / np.hypot(sep, 1.0), n), None, True, -1.0)
     b = _end_distances(g)
     return ((bare + phix * own) * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
-            + _diagonal_jump_correction("bare", phix, g))
+            + _diagonal_jump_correction(1.0, phix, g))
 
 
 def _background_term_dense(state, phix, params):

@@ -152,7 +152,7 @@ def _normal_velocity_background_dense(state, depths):
     front = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(np.subtract.outer(phi, phi))), rho, True)
     b = _end_distances(g)
     front_end = _end_term(*b, phi - far_field_value(state), dx)
-    diag_coda = _diagonal_jump_correction("front", rho, g)
+    diag_coda = _diagonal_jump_correction(1.0 / np.sqrt(1.0 + rho * rho), rho, g)
     out = []
     for h in depths:
         c1 = phi + resolve_depth(state, KernelParams(h=h))
@@ -307,7 +307,16 @@ def test_velocity_at_far_probes_stay_finite(x):
     assert abs(s.u - 2.0 * np.log(3.0)) <= 1e-10 and abs(s.v) <= 1e-10
 
 
-@pytest.mark.parametrize("x, y", [(1.7e308, 3.0), (-1.7e308, 3.0), (40.0, -1e200)])
+@pytest.mark.parametrize("x, y", [(40.0, -1e200), (100.0, 1e200), (-100.0, -1e200), (100.0, 1e160),
+                                  (1e300, -1e300)])
+def test_velocity_at_probes_beyond_a_window_end_stay_finite(x, y):
+    # beyond a window end a w < 0 takes c^2 / (|w| + root) for its log tail,
+    # formed without squaring c; the sample is the far-field law, as above
+    s = velocity_at(_state(n=256), x, y)
+    assert abs(s.u - 2.0 * np.log(abs(y))) <= 1e-10 and abs(s.v) <= 1e-10
+
+
+@pytest.mark.parametrize("x, y", [(1.7e308, 3.0), (-1.7e308, 3.0)])
 def test_velocity_at_refuses_probes_whose_end_terms_overflow(x, y):
     with pytest.raises(ValueError, match=r"^probe \(.*\) is too far from the front: its end terms overflow$"):
         velocity_at(_state(n=256), x, y)
