@@ -173,7 +173,11 @@ def write_manifest(path: Path, payload: dict) -> None:
 def _record(items) -> list:
     """Check records from (name, measured, tolerance) items. Each books the
     wall time since the one before: a lazily measured item is timed on its
-    own, a measurement feeding several checks on the first of them."""
+    own, a measurement feeding several checks on the first of them. scipy is
+    imported on first use, so the first check of a process that calls into
+    it also books that one-off import: scale_identity_vs_log (scipy.integrate
+    and scipy.special) and scaling_galilean_k_2.0 (scipy.interpolate, most
+    of whose cost the identities suite has paid when it ran first)."""
     checks, t = [], time.perf_counter()
     for name, measured, tolerance in items:
         now = time.perf_counter()

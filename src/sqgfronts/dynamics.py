@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fronts import front_profile
 from .grid import (
@@ -388,6 +387,9 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     arg = (grid_b.x - 2.0 * final_b.t * math.log(k)) / k
     xs = np.concatenate([g.x, [g.x_min + g.length]])
     ys = np.concatenate([final_a.phi, [final_a.phi[0]]])
+    # imported here, not at module level: only this check needs scipy
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(xs, ys, bc_type="periodic")
     mapped = k * spline(g.x_min + np.mod(arg - g.x_min, g.length))
     return float(np.max(np.abs(final_b.phi - mapped)))

@@ -56,6 +56,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _node_count(n) -> int:
+    """The grid size as an int; a bool, float, str or other non-integer is refused, not truncated."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"grid size n must be an integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class LineGrid:
     """Uniform grid x_j = x_min + j*dx, j = 0..n-1.
@@ -70,6 +77,8 @@ class LineGrid:
     periodic: bool = False
 
     def __post_init__(self):
+        # a numpy integer is held as int: n * n must not wrap in a narrow dtype
+        object.__setattr__(self, "n", _node_count(self.n))
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 nodes, got n={self.n}")
         if self.n % 2 != 0:
@@ -111,9 +120,10 @@ def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> Li
     """
     if length <= 0.0 or not np.isfinite(length):
         raise ValueError(f"length must be positive and finite, got {length}")
-    if int(n) <= 0:
+    n = _node_count(n)
+    if n <= 0:
         raise ValueError(f"n must be a positive even count, got {n}")
-    return LineGrid(x_min=float(x_min), n=int(n), dx=float(length) / int(n), periodic=periodic)
+    return LineGrid(x_min=float(x_min), n=n, dx=float(length) / n, periodic=periodic)
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,7 +107,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .grid import FrontState, far_field_value, stencil_derivative
 
@@ -708,6 +707,9 @@ def scale_identity(c: float, cutoff: float = 1.0e3) -> float:
     Adaptive quadrature to the cutoff plus an asymptotic tail; equals log|c|,
     which the verification suite checks rather than assumes.
     """
+    # imported here, not at module level: only the scalar identities need scipy
+    from scipy.integrate import quad
+
     c = abs(float(c))
     if c == 0.0 or not np.isfinite(c):
         raise ValueError("scale factor must be nonzero and finite")
@@ -736,6 +738,9 @@ def cosine_integral_constant(inner: float = 350.0, cutoff: float = 1.0e6) -> flo
     oscillatory part from there to `cutoff`, analytic remainder beyond. The
     cutoff cancels to rounding, which the truncation-sweep test relies on.
     """
+    # imported here, not at module level: only the scalar identities need scipy
+    from scipy.integrate import IntegrationWarning, quad
+
     if inner < 50.0:
         raise ValueError("inner cutoff too small for the asymptotic tail series")
 

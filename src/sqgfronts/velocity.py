@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import erf
 
 from .grid import FrontState, far_field_value
 from .quadrature import (
@@ -399,6 +397,9 @@ def _strip_temperature(coords: np.ndarray, phi_cols: np.ndarray, h: float, sigma
     every node bit for bit. The n x n field is never formed: memory is
     O(n len(band)).
     """
+    # imported here, not at module level: only the box cross-check needs scipy
+    from scipy.special import erf
+
     scale = np.sqrt(2.0) * sigma
     reach = _ERF_SATURATES * scale
     j0 = int(np.searchsorted(coords, np.min(phi_cols) - reach, side="left"))
@@ -452,6 +453,9 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
             yg = float(coords[jc])
             if not (yg > phi_here + margin or yg < -h - margin):
                 raise ValueError(f"probe ({float(coords[ic])}, {yg}) is inside or too close to the strip")
+
+    # imported here, not at module level: only the box cross-check needs scipy
+    from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(state.grid.x, state.phi, extrapolate=False)
     phi_cols = spline(coords)

@@ -492,6 +492,40 @@ def test_removed_commands_and_flags_exit_2(argv, capsys):
     assert ei.value.code == 2
 
 
+_SCIPY_FREE_PATHS = """
+import sys
+
+import numpy as np
+
+import sqgfronts as sq
+from sqgfronts import cli
+
+g = sq.make_grid(-30.0, 60.0, 256)
+cfg = sq.SimConfig(grid=g, t_end=0.004, dt=0.002, initial_family="gaussian",
+                   initial_params={"amplitude": 0.3, "width": 2.0, "center": 0.0}, audit_background=True)
+final = sq.integrate(cfg).final
+shift = sq.galilean_shift(final)
+sq.normal_velocity_background(final)
+sq.normal_velocity_bmo(final, shift)
+sq.velocity_at(final, 0.5, 3.0, shift)
+gp = sq.make_grid(-np.pi, 2.0 * np.pi, 64, periodic=True)
+sq.integrate(sq.SimConfig(grid=gp, t_end=0.01, initial_family="gaussian",
+                          initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0}))
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+print(sorted(m for m in ("scipy.interpolate", "scipy.special", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_stepping_and_velocity_paths_load_no_scipy_submodule():
+    # a fresh interpreter: this test process has loaded scipy for other tests
+    res = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PATHS], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_console_script_version():
     res = subprocess.run([sys.executable, "-m", "sqgfronts.cli", "--version"],
                          capture_output=True, text=True)

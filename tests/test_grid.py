@@ -7,6 +7,7 @@ from sqgfronts import (
     EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
     FrontState,
+    LineGrid,
     apply_linear_multiplier,
     build_workspace,
     far_field_value,
@@ -40,10 +41,22 @@ def test_make_grid_basics():
     assert abs(gp.dx - 2 * np.pi / 256) < 1e-16
 
 
-@pytest.mark.parametrize("n", [7, 6, 0, -8, 129])
+@pytest.mark.parametrize("n", [7, 6, 0, -8, 129, 64.9, 64.0, "64", True])
 def test_make_grid_rejects_bad_n(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\bn\b"):
         make_grid(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [256.0, np.float64(256.0), "256", True])
+def test_line_grid_refuses_a_non_integer_size(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        LineGrid(x_min=-30.0, n=n, dx=60.0 / 256)
+
+
+@pytest.mark.parametrize("n", [np.int32(64), np.int64(64), np.uint16(64)])
+def test_grid_takes_numpy_integer_sizes(n):
+    for g in (make_grid(-1.0, 2.0, n), LineGrid(x_min=-1.0, n=n, dx=2.0 / 64)):
+        assert type(g.n) is int and g.n == 64 and g.x.shape == (64,)
 
 
 def test_make_grid_rejects_bad_length():
