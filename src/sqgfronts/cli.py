@@ -18,10 +18,12 @@ record holds name, measured, tolerance, passed and wall_s.
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 config error (including a numeric flag out of range). Config files are JSON;
-schema errors are reported with field paths. CSV bodies are deterministic
-for a fixed config, and bit-identical whatever the number of cores the dense
-pair sums run on; manifests add wall time and the number of usable cores
-(both excluded from the determinism contract).
+`load_config` checks their keys and JSON types, and the library types it
+builds (`make_grid`, `front_profile`, `SimConfig`) check the ranges, so each
+refusal names its field. CSV bodies are deterministic for a fixed config,
+and bit-identical whatever the number of cores the dense pair sums run on;
+manifests add wall time and the number of usable cores (both excluded from
+the determinism contract).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SimConfig, initial_state, integrate, rhs, rhs_galilean_form, scaling_galilean_check
-from .fronts import FAMILIES, front_profile
+from .fronts import front_profile
 from .grid import (
     EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
@@ -112,22 +114,19 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     _expect(isinstance(gspec, dict), "grid", "must be an object")
     _only(gspec, ("n", "length", "x_min", "periodic"), "grid.")
     n = _get(gspec, "n", "grid")
-    _expect(isinstance(n, int) and not isinstance(n, bool), "grid.n", "must be an integer")
     length = _get(gspec, "length", "grid")
-    _expect(_is_number(length) and length > 0, "grid.length", "must be a positive finite number")
+    _expect(_is_number(length), "grid.length", "must be a finite number")
     x_min = _get(gspec, "x_min", "grid", required=False, default=-0.5 * float(length))
     _expect(_is_number(x_min), "grid.x_min", "must be a finite number")
     periodic = _get(gspec, "periodic", "grid", required=False, default=False)
     _expect(isinstance(periodic, bool), "grid.periodic", "must be true or false")
-    _expect(n >= 8 and n % 2 == 0, "grid.n", "must be an even integer >= 8")
-    with _usage("grid: "):
+    with _usage("grid."):
         grid = make_grid(float(x_min), float(length), n, periodic=periodic)
 
     ispec = _get(raw, "initial", "<root>")
     _expect(isinstance(ispec, dict), "initial", "must be an object")
     _only(ispec, ("family", "params"), "initial.")
     family = _get(ispec, "family", "initial")
-    _expect(family in FAMILIES, "initial.family", f"unknown family {family!r}; options: {sorted(FAMILIES)}")
     params = _get(ispec, "params", "initial", required=False, default={})
     _expect(isinstance(params, dict), "initial.params", "must be an object")
     for key, value in params.items():
@@ -135,14 +134,13 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     try:
         front_profile(grid.x, family, **params)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"initial.params: {str(e).replace(f'_{family}()', family)}") from None
+        raise UsageError(f"initial: {str(e).replace(f'_{family}()', f'{family}')}") from None
 
     dt = _get(raw, "dt", "<root>", required=False)
-    _expect(dt is None or _is_number(dt), "dt", "must be a positive finite number or null")
+    _expect(dt is None or _is_number(dt), "dt", "must be a finite number or null")
     t_end = _get(raw, "t_end", "<root>")
-    _expect(_is_number(t_end) and t_end > 0, "t_end", "must be a positive finite number")
+    _expect(_is_number(t_end), "t_end", "must be a finite number")
     stride = _get(raw, "output_stride", "<root>", required=False, default=1)
-    _expect(isinstance(stride, int) and not isinstance(stride, bool), "output_stride", "must be an integer")
 
     with _usage():
         cfg = SimConfig(grid=grid, t_end=float(t_end), initial_family=family, initial_params=dict(params),
@@ -452,7 +450,7 @@ SUITES = tuple(_SUITES)
 def run_suite(name: str, n: int | None, dt: float | None, scale: float) -> list:
     """Check records of one suite; n and dt override its default resolution and step."""
     if name not in _SUITES:
-        raise UsageError(f"unknown suite {name!r}; options: {', '.join(SUITES)}")
+        raise UsageError(f"unknown suite {name!r}; options: {', '.join(SUITES)} or 'all'")
     suite, default_n = _SUITES[name]
     return _record(suite(default_n if n is None else n, dt, scale))
 
@@ -487,14 +485,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES + ("all",):
-        raise UsageError(f"unknown suite {args.suite!r}; options: {', '.join(SUITES)} or 'all'")
     names = SUITES if args.suite == "all" else (args.suite,)
     t0 = time.perf_counter()
     all_checks = []
     for name in names:
-        print(f"suite {name}:")
         checks = run_suite(name, args.n, args.dt, args.tolerance_scale)
+        print(f"suite {name}:")
         _print_checks(checks)
         all_checks.extend({**c, "suite": name} for c in checks)
     wall = time.perf_counter() - t0

@@ -41,6 +41,7 @@ from .grid import (
     TWO_GAMMA_MINUS_LOG4,
     FrontState,
     LineGrid,
+    _integer,
     apply_linear_multiplier,
     make_state,
     support_defect,
@@ -69,8 +70,6 @@ __all__ = [
     "scaling_galilean_check",
 ]
 
-BACKENDS = ("line_quadrature", "periodic_spectral")
-
 # abort threshold; the graph assumption fails well before slopes this steep
 MAX_SLOPE = 100.0
 
@@ -79,16 +78,18 @@ MAX_SLOPE = 100.0
 class SimConfig:
     """Simulation setup.
 
-    grid : LineGrid (periodicity must match the backend)
+    grid : LineGrid; its periodicity picks the backend
     initial_family / initial_params : analytic initial front, see `fronts`
-    backend : 'line_quadrature' or 'periodic_spectral'; None (the default)
-        takes the one the grid allows, periodic_spectral on a periodic grid
+    backend : None (the default) or the grid's backend, 'periodic_spectral'
+        on a periodic grid and 'line_quadrature' on the line; any other
+        name is refused
     dt : time step; None means the automatic step of `cfl_timestep`
         (periodic only; line grids have no spectral stability estimate here,
         so dt is required). A periodic dt above the stability step of the
         start state is refused.
     t_end : horizon; the last step is shortened to land on it exactly
-    output_stride : snapshot every this many steps (ends always included)
+    output_stride : snapshot every this many steps (ends always included);
+        an integer >= 1, a bool or float is refused
     cfl_safety : scales the automatic step of `cfl_timestep` when dt is None
     audit_background : record max |background integral| per snapshot, at
         the adaptive reference depth (line backend only; it is an
@@ -106,14 +107,10 @@ class SimConfig:
     audit_background: bool = False
 
     def __post_init__(self):
-        if self.backend is None:
-            object.__setattr__(self, "backend", "periodic_spectral" if self.grid.periodic else "line_quadrature")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend == "periodic_spectral" and not self.grid.periodic:
-            raise ValueError("periodic_spectral backend needs a periodic grid")
-        if self.backend == "line_quadrature" and self.grid.periodic:
-            raise ValueError("line_quadrature backend needs a non-periodic grid")
+        backend = "periodic_spectral" if self.grid.periodic else "line_quadrature"
+        if self.backend not in (None, backend):
+            raise ValueError(f"backend must be None or {backend!r} on this grid, got {self.backend!r}")
+        object.__setattr__(self, "backend", backend)
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.dt is not None:
@@ -121,8 +118,9 @@ class SimConfig:
                 raise ValueError(f"dt must be positive, got {self.dt}")
             if self.t_end < self.dt:
                 raise ValueError("t_end must be at least one step")
+        object.__setattr__(self, "output_stride", _integer(self.output_stride, "output_stride"))
         if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if not (np.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
             raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
 
@@ -364,8 +362,7 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     grid_b = LineGrid(x_min=g.x_min * k, n=g.n, dx=g.dx * k, periodic=g.periodic)
     base_phi, _ = front_profile(g.x, cfg.initial_family, **cfg.initial_params)
     state_a = make_state(g, base_phi, t=0.0)
-    phi_b0 = k * np.interp(grid_b.x / k, g.x, base_phi)  # = k * phi0(x/k) on the scaled nodes
-    state_b = make_state(grid_b, phi_b0, t=0.0)
+    state_b = make_state(grid_b, k * base_phi, t=0.0)  # node j of grid_b is k times node j of g
 
     if cfg.dt is not None:
         dt_a = cfg.dt

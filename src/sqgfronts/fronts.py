@@ -93,6 +93,6 @@ def front_profile(x: np.ndarray, family: str, **params):
     """
     try:
         fn = FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise ValueError(f"unknown front family {family!r}; options: {sorted(FAMILIES)}") from None
     return fn(np.asarray(x, dtype=np.float64), **params)

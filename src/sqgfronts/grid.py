@@ -56,11 +56,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _node_count(n) -> int:
-    """The grid size as an int; a bool, float, str or other non-integer is refused, not truncated."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"grid size n must be an integer, got {n!r}")
-    return int(n)
+def _integer(value, name: str) -> int:
+    """value as an int; a bool, float, str or other non-integer is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,15 @@ class LineGrid:
 
     def __post_init__(self):
         # a numpy integer is held as int: n * n must not wrap in a narrow dtype
-        object.__setattr__(self, "n", _node_count(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 8:
-            raise ValueError(f"grid needs at least 8 nodes, got n={self.n}")
+            raise ValueError(f"n must be at least 8, got {self.n}")
         if self.n % 2 != 0:
-            raise ValueError(f"grid size must be even for spectral ops, got n={self.n}")
+            raise ValueError(f"n must be even for spectral ops, got {self.n}")
         if not np.isfinite(self.dx) or self.dx <= 0.0:
-            raise ValueError(f"grid spacing must be positive and finite, got dx={self.dx}")
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if not np.isfinite(self.x_min):
-            raise ValueError(f"grid origin must be finite, got x_min={self.x_min}")
+            raise ValueError(f"x_min must be finite, got {self.x_min}")
 
     @property
     def length(self) -> float:
@@ -120,7 +120,7 @@ def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> Li
     """
     if length <= 0.0 or not np.isfinite(length):
         raise ValueError(f"length must be positive and finite, got {length}")
-    n = _node_count(n)
+    n = _integer(n, "n")
     if n <= 0:
         raise ValueError(f"n must be a positive even count, got {n}")
     return LineGrid(x_min=float(x_min), n=n, dx=float(length) / n, periodic=periodic)

@@ -479,9 +479,9 @@ def _pair_sum(kernel_rows, grid, rho, *, symmetric: bool = False, threaded: bool
     return rho * acc[:, 0] - acc[:, 1]
 
 
-def _even_row_sum(kernel: np.ndarray, diag=None) -> np.ndarray:
-    """Trapezoid row sums sum_{j != i} w_j K_ij + w_i diag_i of an even
-    Toeplitz kernel K_ij = kernel[|i - j|], in O(n).
+def _even_row_sum(kernel: np.ndarray) -> np.ndarray:
+    """Trapezoid row sums sum_{j != i} w_j K_ij of an even Toeplitz kernel
+    K_ij = kernel[|i - j|], in O(n).
 
     kernel holds the n values by node offset 0..n-1 along its last axis (a
     stack of kernels gives a stack of row sums); kernel[..., 0] is not read.
@@ -489,16 +489,12 @@ def _even_row_sum(kernel: np.ndarray, diag=None) -> np.ndarray:
     the grid ends at weight 1/2. The sums come from one-sided prefix sums
     over the offsets, so no two large partial sums cancel.
     """
-    n = kernel.shape[-1]
     off = np.array(kernel, dtype=np.float64)
     off[..., 0] = 0.0
     prefix = np.cumsum(off, axis=-1)  # prefix[m] = sum of kernel[1..m]
     prefix -= 0.5 * off
     # row i: i offsets to the left, n - 1 - i (the reversed index) to the right
-    out = prefix + prefix[..., ::-1]
-    if diag is not None:
-        out += _trapezoid_weights(n) * diag
-    return out
+    return prefix + prefix[..., ::-1]
 
 
 def _even_toeplitz_product(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -616,10 +612,11 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     sep = _separation(g)[n - 1:]  # by node offset 0..n-1
     inv_s = 1.0 / sep
     inv_s[0] = 0.0
+    w = _trapezoid_weights(n)
     # rho(x) times the row sums of 1/|s| less the recentered reference, whose
     # node carries the smooth value -phi_x; minus the product with w rho
-    own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0), diag=-1.0)
-    out = (rho * own - _even_toeplitz_product(inv_s, _trapezoid_weights(n) * rho)) * dx
+    own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0)) - w
+    out = (rho * own - _even_toeplitz_product(inv_s, w * rho)) * dx
     b = _end_distances(g)
     return out + rho * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx)) + diag_coda
 

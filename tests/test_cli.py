@@ -92,6 +92,35 @@ def _setter(field, value):
     return mutate
 
 
+# a missing object, a value out of range or a key the schema does not have:
+# (field the message names, id label, mutate). The library types make the
+# range checks; front_profile's refusals are prefixed by the "initial" object
+REFUSED = [
+    ("grid", "missing", lambda c: c.pop("grid")),
+    ("grid.n", "255", lambda c: c["grid"].update(n=255)),
+    ("grid.n", "true", lambda c: c["grid"].update(n=True)),
+    ("grid.length", "-5", lambda c: c["grid"].update(length=-5.0)),
+    ("initial", "missing", lambda c: c.pop("initial")),
+    ("initial", "family-sawtooth", lambda c: c["initial"].update(family="sawtooth")),
+    ("initial", "no-width", lambda c: c["initial"]["params"].pop("width")),
+    # backend, kernel and galilean_form are not config fields
+    ("backend", "crank_nicolson", lambda c: c.update(backend="crank_nicolson")),
+    ("kernel", "hh", lambda c: c.update(kernel={"hh": 1.0})),
+    ("kernel", "h", lambda c: c.update(kernel={"h": -2.0})),
+    ("t_end", "0", lambda c: c.update(t_end=0.0)),
+    ("backend", "periodic", lambda c: c.update(backend="periodic")),  # line grid + periodic backend
+    ("kernel", "window", lambda c: c.update(kernel={"window": 20.0})),
+    ("kernel", "diagonal_mode", lambda c: c.update(kernel={"diagonal_mode": "skip_point"})),
+    ("output_stride", "two", lambda c: c.update(output_stride="two")),
+    ("output_stride", "null", lambda c: c.update(output_stride=None)),
+    ("output_stride", "2.7", lambda c: c.update(output_stride=2.7)),
+    ("galilean_form", "no", lambda c: c.update(galilean_form="no")),
+    ("galilean_form", "true", lambda c: c.update(galilean_form=True)),
+    ("grid.n", "6", lambda c: c["grid"].update(n=6)),
+    ("output_stride", "0", lambda c: c.update(output_stride=0)),
+    ("initial", "family-list", lambda c: c["initial"].update(family=["gaussian"])),
+]
+
 BAD_FIELDS = BAD_TYPES + [(field, _setter(field, value)) for field, value in NON_FINITE + UNKNOWN_KEYS + NOT_NUMBERS]
 BAD_FIELD_IDS = ([field for field, _ in BAD_TYPES]
                  + [f"{field}-{'huge' if value is HUGE else value}" for field, value in NON_FINITE]
@@ -118,39 +147,18 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg2.dt is None and cfg2.output_stride == 20
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda c: c.pop("grid"),
-        lambda c: c["grid"].update(n=255),
-        lambda c: c["grid"].update(n=True),
-        lambda c: c["grid"].update(length=-5.0),
-        lambda c: c.pop("initial"),
-        lambda c: c["initial"].update(family="sawtooth"),
-        lambda c: c["initial"]["params"].pop("width"),
-        # backend, kernel and galilean_form are not config fields
-        lambda c: c.update(backend="crank_nicolson"),
-        lambda c: c.update(kernel={"hh": 1.0}),
-        lambda c: c.update(kernel={"h": -2.0}),
-        lambda c: c.update(t_end=0.0),
-        lambda c: c.update(backend="periodic"),  # line grid + periodic backend
-        lambda c: c.update(kernel={"window": 20.0}),
-        lambda c: c.update(kernel={"diagonal_mode": "skip_point"}),
-        lambda c: c.update(output_stride="two"),
-        lambda c: c.update(output_stride=None),
-        lambda c: c.update(output_stride=2.7),
-        lambda c: c.update(galilean_form="no"),
-        lambda c: c.update(galilean_form=True),
-    ] + [mutate for _, mutate in BAD_FIELDS],
-)
+@pytest.mark.parametrize("mutate", [mutate for *_, mutate in REFUSED] + [mutate for _, mutate in BAD_FIELDS])
 def test_load_config_rejects(tmp_path, mutate):
+    # the cases of the test below through load_config itself, under
+    # positional ids (<lambda>N, mutateN)
     payload = json.loads(json.dumps(LINE_CFG))
     mutate(payload)
     with pytest.raises(UsageError):
         load_config(_write_cfg(tmp_path, payload))
 
 
-@pytest.mark.parametrize("field, mutate", BAD_FIELDS, ids=BAD_FIELD_IDS)
+@pytest.mark.parametrize("field, mutate", BAD_FIELDS + [(field, mutate) for field, _, mutate in REFUSED],
+                         ids=BAD_FIELD_IDS + [f"{field}-{label}" for field, label, _ in REFUSED])
 def test_badly_typed_field_exits_2_and_names_it(tmp_path, capsys, field, mutate):
     payload = json.loads(json.dumps(LINE_CFG))
     mutate(payload)

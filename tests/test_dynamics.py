@@ -75,6 +75,23 @@ def test_config_validation():
         initial_state(cfg)
 
 
+@pytest.mark.parametrize("stride", [1.5, 2.0, True])
+def test_config_refuses_a_non_integer_stride(stride):
+    # 1.5 used to snapshot the steps where step % 1.5 == 0, and 2.0 passed as 2
+    g = make_grid(-30.0, 60.0, 128)
+    with pytest.raises(ValueError, match="output_stride must be an integer"):
+        SimConfig(grid=g, t_end=1.0, dt=0.1, output_stride=stride)
+    cfg = SimConfig(grid=g, t_end=1.0, dt=0.1, output_stride=np.int64(2))
+    assert type(cfg.output_stride) is int and cfg.output_stride == 2
+
+
+def test_config_backend_names_the_grid_backend():
+    g = make_grid(-30.0, 60.0, 128)
+    with pytest.raises(ValueError, match="backend must be None or 'line_quadrature' on this grid, got 'periodic_spectral'"):
+        SimConfig(grid=g, t_end=1.0, backend="periodic_spectral")
+    assert SimConfig(grid=g, t_end=1.0, backend="line_quadrature").backend == "line_quadrature"
+
+
 def test_trajectory_validation():
     g = make_grid(0.0, 2 * np.pi, 128, periodic=True)
     s0 = make_state(g, np.zeros(128), t=0.0)
