@@ -105,7 +105,7 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
         raise UsageError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise UsageError(f"config is not valid JSON: {e}") from None
     _expect(isinstance(raw, dict), "<root>", "config must be a JSON object")
     _only(raw, ("grid", "initial", "t_end", "dt", "output_stride"))
@@ -173,9 +173,8 @@ def _record(items) -> list:
     wall time since the one before: a lazily measured item is timed on its
     own, a measurement feeding several checks on the first of them. scipy is
     imported on first use, so the first check of a process that calls into
-    it also books that one-off import: scale_identity_vs_log (scipy.integrate
-    and scipy.special) and scaling_galilean_k_2.0 (scipy.interpolate, most
-    of whose cost the identities suite has paid when it ran first)."""
+    it also books that one-off import: of the suites' checks only
+    scale_identity_vs_log does (scipy.integrate and scipy.special)."""
     checks, t = [], time.perf_counter()
     for name, measured, tolerance in items:
         now = time.perf_counter()

@@ -57,9 +57,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """value as an int; a bool, float, str or other non-integer is refused, not truncated."""
+    """value as an int; a bool, float, str or other non-integer is refused, not
+    truncated, and so is one wider than an array index: no array reaches that
+    count, and a float may not hold it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if int(value).bit_length() >= np.iinfo(np.intp).bits:
+        raise ValueError(f"{name} must fit in {np.iinfo(np.intp).bits - 1} bits, got {int(value).bit_length()}")
     return int(value)
 
 
@@ -83,10 +87,14 @@ class LineGrid:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.n % 2 != 0:
             raise ValueError(f"n must be even for spectral ops, got {self.n}")
-        if not np.isfinite(self.dx) or self.dx <= 0.0:
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if not np.isfinite(self.x_min):
-            raise ValueError(f"x_min must be finite, got {self.x_min}")
+        # one test for a finite x_min, a positive finite dx and a window whose
+        # last node is finite and whose spacing outgrows the rounding of its
+        # ends (false for every NaN or infinity among them)
+        x_min, dx = float(self.x_min), float(self.dx)
+        last = x_min + (self.n - 1) * dx  # a Python float overflows to inf, with no warning
+        if not dx > np.spacing(max(abs(x_min), abs(last))):
+            raise ValueError(f"x_min = {self.x_min} and dx = {self.dx} must give {self.n} increasing "
+                             f"finite nodes, got a last node {last}")
 
     @property
     def length(self) -> float:

@@ -167,6 +167,30 @@ def test_badly_typed_field_exits_2_and_names_it(tmp_path, capsys, field, mutate)
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, field", [
+    ({"n": HUGE}, "grid.n must fit in 63 bits"),  # an OverflowError traceback, exit 1
+    ({"x_min": 1e308}, "grid.x_min = 1e+308"),  # 600 equal nodes: the run went ahead, exit 0
+    ({"x_min": 1e308, "length": 1e308}, "grid.x_min = 1e+308"),  # a last node at inf
+], ids=["n-huge", "x_min-1e308", "length-1e308"])
+def test_grid_out_of_reach_exits_2_and_names_it(tmp_path, capsys, grid, field):
+    payload = json.loads(json.dumps(LINE_CFG))
+    payload["grid"].update(grid)
+    code = main(["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads refuses it with a bare ValueError, not a JSONDecodeError (a
+    # traceback, exit 1); where no digit limit is set, grid.n refuses it
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(LINE_CFG).replace('"n": 600', '"n": 1' + "0" * digits))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_readme_schema_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"### Run config schema\s+```json\n(.*?)```", readme, re.S)
@@ -530,6 +554,30 @@ print(sorted(m for m in ("scipy.interpolate", "scipy.special", "scipy.integrate"
 def test_stepping_and_velocity_paths_load_no_scipy_submodule():
     # a fresh interpreter: this test process has loaded scipy for other tests
     res = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PATHS], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
+_SCIPY_FREE_SYMMETRY = """
+import sys
+
+import numpy as np
+
+import sqgfronts as sq
+from sqgfronts import cli
+
+g = sq.make_grid(-8.0 * np.pi, 16.0 * np.pi, 128, periodic=True)
+sq.scaling_galilean_check(sq.SimConfig(grid=g, t_end=0.1, initial_family="gaussian",
+                                       initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0}), 2.0)
+cli.run_suite("symmetry", None, None, 1.0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_symmetry_check_and_suite_load_no_scipy():
+    # the scaling check maps one run onto the other by a Fourier shift, so
+    # the periodic backend's checks need no scipy module at all
+    res = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SYMMETRY], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
 

@@ -21,6 +21,7 @@ from sqgfronts import (
     step_rk4,
     support_defect,
 )
+import sqgfronts.dynamics as dynamics
 import sqgfronts.grid as grid_module
 from sqgfronts.cli import measure_invariant_drift, measure_scaling_galilean, measure_translation_in_x
 from sqgfronts.dynamics import MAX_SLOPE
@@ -384,6 +385,51 @@ def test_scaling_check_bad_k():
 def test_scaling_check_small_defect():
     for k in (2.0, 0.5):  # on the _periodic_cfg(n=128, t_end=0.25) run
         assert measure_scaling_galilean(128, k, 0.25) < 1e-3
+
+
+def test_scaling_check_reads_the_runs_at_rounding():
+    # the discrete runs keep the symmetry to rounding, and an exact map shows
+    # it: 8.5e-15 and 8.0e-16 here, where a periodic cubic spline read 5.5e-7
+    for k in (2.0, 0.5):
+        assert measure_scaling_galilean(256, k, 0.25) <= 1e-12
+
+
+def _trigonometric_interpolant(phi, x_min, dx, x):
+    """The symmetric trigonometric interpolant of phi at x, summed mode by
+    mode: each 0 < m < n/2 with its conjugate, the Nyquist mode as a cosine."""
+    n = phi.size
+    offsets = dx * np.arange(n)
+    out = np.zeros_like(x)
+    for m in range(n // 2 + 1):
+        xi = 2.0 * np.pi * m / (n * dx)
+        c = np.sum(phi * np.exp(-1j * xi * offsets))
+        if 0 < m < n // 2:
+            out += 2.0 * np.real(c * np.exp(1j * xi * (x - x_min))) / n
+        else:  # m = 0, and the Nyquist mode: c is real
+            out += c.real * np.cos(xi * (x - x_min)) / n
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("k", [2.0, 0.3])
+def test_scaling_check_maps_by_the_trigonometric_interpolant(monkeypatch, n, k):
+    # both runs are replaced by fixed end states: the first a random front
+    # (its Nyquist mode nonzero), the second the first mapped through
+    # psi(x) = k phi((x - 2 t log k) / k) by the interpolant summed term by
+    # term; the check then reads their gap, the map's own error
+    cfg = _periodic_cfg(n=n, dt=0.05)
+    g = cfg.grid
+    phi_a = np.random.default_rng(n).standard_normal(n)
+    assert abs(np.sum(phi_a * (-1.0) ** np.arange(n))) > 0.1
+    shifted = g.x - 2.0 * cfg.t_end * np.log(k) / k
+    phi_b = k * _trigonometric_interpolant(phi_a, g.x_min, g.dx, shifted)
+
+    def end_state(run_cfg, state):
+        phi = phi_a if run_cfg.grid == g else phi_b
+        return Trajectory(snapshots=(state.with_phi(phi, run_cfg.t_end),), diagnostics=({},))
+
+    monkeypatch.setattr(dynamics, "integrate", end_state)
+    assert scaling_galilean_check(cfg, k) <= 1e-13 * np.max(np.abs(phi_b))
 
 
 def test_mean_is_conserved():

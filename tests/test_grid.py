@@ -72,6 +72,37 @@ def test_make_grid_rejects_non_finite_origin(x_min):
         make_grid(x_min, 1.0, 64)
 
 
+@pytest.mark.parametrize("n", [10**400, -(10**400), 2**63, np.uint64(2**64 - 1)],
+                         ids=["1e400", "-1e400", "2**63", "uint64-max"])
+def test_grid_refuses_a_size_wider_than_an_index(n):
+    # 10**400 used to escape make_grid as an OverflowError from length / n
+    with pytest.raises(ValueError, match=r"^n must fit in 63 bits"):
+        make_grid(-30.0, 60.0, n)
+    with pytest.raises(ValueError, match=r"^n must fit in 63 bits"):
+        LineGrid(x_min=-30.0, n=n, dx=1e-300)
+
+
+@pytest.mark.parametrize("x_min, length, n", [
+    (1e308, 60.0, 256),  # x_min + j dx == x_min: 256 equal nodes
+    (1e308, 1e308, 256),  # the last node overflows to inf
+    (-30.0, 60.0, 2**62),  # dx = 1.3e-17, below the rounding of 30
+])
+def test_grid_refuses_a_window_it_cannot_resolve(x_min, length, n):
+    with pytest.raises(ValueError, match=r"^x_min = .* and dx = .* must give \d+ increasing finite nodes"):
+        make_grid(x_min, length, n)
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.5, np.inf, np.nan, 1e-15])
+def test_line_grid_refuses_a_spacing_that_gives_no_window(dx):
+    with pytest.raises(ValueError, match="x_min = -30.0 and dx"):
+        LineGrid(x_min=-30.0, n=64, dx=dx)
+
+
+def test_grid_takes_a_tiny_window_near_zero():
+    g = make_grid(0.0, 1e-300, 8)
+    assert np.all(np.diff(g.x) > 0.0)
+
+
 def test_state_validation():
     g = make_grid(-1.0, 2.0, 64)
     with pytest.raises(ValueError):
