@@ -49,7 +49,6 @@ from .grid import (
 )
 from .quadrature import (
     _by_offset,
-    _diagonal_jump_correction,
     _pair_sum,
     _separation,
     background_term,
@@ -192,9 +191,7 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     def opposing_kernel(i0, i1):
         return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
 
-    opposing = _pair_sum(opposing_kernel, g, phix) * g.dx
-
-    opposing += _diagonal_jump_correction(kernel_difference(1.0, phix), phix, g)
+    opposing = _pair_sum(opposing_kernel, g, phix, kernel_difference(1.0, phix))
 
     return (apply_linear_multiplier(state)
             + TWO_GAMMA_MINUS_LOG4 * phix

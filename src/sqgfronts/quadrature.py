@@ -40,9 +40,12 @@ F = -phi_xx K(1, phi_x). The singular node takes the two-sided average (0,
 plus the smooth value -phi_x of the linear term's recentered reference),
 which cancels the value jump exactly, and adds the dx^2/12 Euler-Maclaurin
 term for the surviving one-sided derivative jump, dF/dx; together the
-scheme is O(dx^4). Each op passes its own kernel at unit separation, so the
-term is the 4th-order stencil difference of that flux (see
-_diagonal_jump_correction). A stencil difference sums to zero over a
+scheme is O(dx^4). The two sums that skip the singular node apply the rule:
+`_pair_sum`, which every dense pair sum goes through, and
+`linear_term_quadrature`. Each takes the unit kernel K(1, phi_x) from its
+caller, the caller's own kernel at unit separation, and adds the 4th-order
+stencil difference of that flux (see _diagonal_jump_correction), so no op
+corrects the diagonal by hand. A stencil difference sums to zero over a
 periodic grid, so the correction leaves the front's mean fixed to rounding,
 as the exact tendency, an x-derivative, does.
 
@@ -373,20 +376,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pair_sum(kernel_rows, grid, rho, *, symmetric: bool = False, threaded: bool = False) -> np.ndarray:
-    """Weighted kernel-contrast sums over node pairs, BLAS products per row block.
+def _pair_sum(kernel_rows, grid, rho, unit_kernel, *, symmetric: bool = False, threaded: bool = False) -> np.ndarray:
+    """Trapezoid slope-contrast integral over node pairs, BLAS products per
+    row block, with the diagonal rule applied.
 
     Returns, for every row i,
 
-        sum_{j != i} w_j (rho_i - rho_j) K_ij
+        dx * sum_{j != i} w_j (rho_i - rho_j) K_ij + dx^2/12 * dF/dx
 
-    evaluated as rho_i (K w)_i - (K (w rho))_i, so no rho-difference matrix is
-    formed.
+    The sum skips the singular node, so it takes the two-sided average 0
+    there, and evaluates as rho_i (K w)_i - (K (w rho))_i, so no
+    rho-difference matrix is formed. The second term is the Euler-Maclaurin
+    correction of the kink at x' = x, `_diagonal_jump_correction` of
+    unit_kernel = K(1, phi_x), the caller's kernel at unit separation along
+    the tangent; it runs on the calling thread after the blocks.
 
     kernel_rows(i0, i1) returns rows i0:i1 of K as a fresh float array; the
-    helper overwrites it and never reads its diagonal. The weights follow the
-    grid, of which only `n` and `periodic` are read: w_j = 1 on a periodic
-    grid, and the trapezoid weights (1/2 at j = 0 and n-1) on the line.
+    helper overwrites it and never reads its diagonal. Of the grid only `n`,
+    `periodic` and `dx` are read: w_j = 1 on a periodic grid, and the
+    trapezoid weights (1/2 at j = 0 and n-1) on the line; the correction's
+    stencil wraps where the grid is periodic.
 
     With `symmetric` (K_ij = K_ji) kernel_rows(i0, i1) returns only the
     columns i0:n of those rows, so each entry above the diagonal blocks is
@@ -476,7 +485,7 @@ def _pair_sum(kernel_rows, grid, rho, *, symmetric: bool = False, threaded: bool
         wait(futures)  # no pool thread may outlive the call, nor its error go unread
         for future in futures:
             future.result()
-    return rho * acc[:, 0] - acc[:, 1]
+    return (rho * acc[:, 0] - acc[:, 1]) * grid.dx + _diagonal_jump_correction(unit_kernel, rho, grid)
 
 
 def _even_row_sum(kernel: np.ndarray) -> np.ndarray:
@@ -567,7 +576,6 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     phi = state.phi
     rho = np.asarray(phix, dtype=np.float64)
     n, dx = g.n, g.dx
-    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0) - 1.0, rho, g)
 
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
@@ -578,14 +586,13 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
         k -= inv_s[i0:i1, i0:]
         return k
 
-    # the kernel is symmetric in (x, x'); the diagonal carries the odd-jump
-    # average 0
-    out = _pair_sum(contrast, g, rho, symmetric=True, threaded=True) * dx
+    # the kernel is symmetric in (x, x')
+    out = _pair_sum(contrast, g, rho, _front_kernel(rho, 0.0, 1.0) - 1.0, symmetric=True, threaded=True)
     if not g.periodic:
         # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
         b = _end_distances(g)
         out += rho * (_end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx))
-    return out + diag_coda
+    return out
 
 
 def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:

@@ -64,7 +64,6 @@ from .quadrature import (
     KernelParams,
     _BLOCK_ELEMENTS,
     _by_offset,
-    _diagonal_jump_correction,
     _end_distances,
     _end_term,
     _end_term_at,
@@ -124,9 +123,7 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     x, dx = g.x, g.dx
     rho = state.slope
     c_inf = far_field_value(state)
-    d = h + c_inf
-    if d <= 0.0:
-        raise ValueError(f"reference depth must stay below the far-field level, got h + phi_inf = {d}")
+    d = h + c_inf  # > 0: phi_inf, the mean of two samples, is >= min(phi)
 
     q, e1 = _unit_reference(g)
     denom = np.hypot(x, h + state.phi)
@@ -235,18 +232,16 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     c_inf = far_field_value(state)
     c1 = phi + h
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0), rho, g)
 
     s2 = _by_offset(_separation(g) ** 2, n)
 
     # front kernel against the slope contrast, minus rho(x) times the strip row
     # sum, whose node carries the smooth value 1/c1
     front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), g, rho,
-                      symmetric=True)
+                      _front_kernel(rho, 0.0, 1.0), symmetric=True)
     strip = _strip_row_sums(g, c1) + _trapezoid_weights(n) / c1
-    out = (front - rho * strip) * dx
     b = _end_distances(g)
-    star = out + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx)) + diag_coda
+    star = front - rho * strip * dx + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx))
     return star - 2.0 * np.log(c1) * rho
 
 
@@ -261,14 +256,11 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     g = state.grid
     x, phi = g.x, state.phi
     n, dx = g.n, g.dx
-    h = shift.h
-    if h + float(np.min(phi)) <= 0.0:
-        raise ValueError("shift depth does not stay below the front")
+    h = resolve_depth(state, KernelParams(h=shift.h))
     rho = state.slope
     c_inf = far_field_value(state)
     d = h + c_inf
     d1 = phi - c_inf
-    diag_coda = _diagonal_jump_correction(_front_kernel(rho, 0.0, 1.0), rho, g)
 
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
     s2 = _by_offset(_separation(g) ** 2, n)
@@ -278,12 +270,11 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
         k -= ref
         return k
 
-    # the diagonal's odd jump averages to 0
-    out = _pair_sum(anchored, g, rho) * dx
+    # the reference is smooth at x' = x: the kink is the front kernel's
+    out = _pair_sum(anchored, g, rho, _front_kernel(rho, 0.0, 1.0))
     # front kernel at the target's clamped end distances, reference at the anchor
     ends = _end_term(*_end_distances(g), d1, dx) - _end_term(x[-1], -x[0], d, dx)
-    j_term = out + rho * ends + diag_coda
-    return j_term + rho * shift.ubar - shift.vbar
+    return out + rho * ends + rho * shift.ubar - shift.vbar
 
 
 # half-width, in box cells, of the erf smoothing of the jump (sharp jumps ring)

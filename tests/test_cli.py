@@ -435,6 +435,14 @@ def test_velocity_map_needs_line_backend(tmp_path):
     assert main(["velocity-map", "--config", cfg, "--out", str(tmp_path / "vm")]) == 2
 
 
+def test_velocity_map_needs_a_probe(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LINE_CFG)
+    out = tmp_path / "vm"
+    assert main(["velocity-map", "--config", cfg, "--probe-x", ",", "--out", str(out)]) == 2
+    assert "--probe-x needs at least one number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_velocity_map_probe_on_front(tmp_path):
     cfg = _write_cfg(tmp_path, LINE_CFG)
     code = main(["velocity-map", "--config", cfg, "--probe-x", "0.0",

@@ -105,6 +105,13 @@ def test_trajectory_validation():
     assert tr.final is s1
 
 
+def test_trajectory_refuses_snapshots_on_two_grids():
+    s0 = make_state(make_grid(0.0, 2 * np.pi, 128, periodic=True), np.zeros(128), t=0.0)
+    s1 = make_state(make_grid(0.0, 4 * np.pi, 128, periodic=True), np.zeros(128), t=0.5)
+    with pytest.raises(ValueError, match="^trajectory snapshots must share one grid$"):
+        Trajectory(snapshots=(s0, s1), diagnostics=({}, {}))
+
+
 def test_rhs_backend_grid_mismatch():
     cfg = _periodic_cfg()
     gl = make_grid(-30.0, 60.0, 256)
@@ -380,6 +387,13 @@ def test_scaling_check_bad_k():
     for k in (0.0, -2.0, np.inf):
         with pytest.raises(ValueError):
             scaling_galilean_check(cfg, k)
+
+
+def test_scaling_check_refuses_a_run_past_the_slope_threshold():
+    # peak slope 30 sqrt(2/e) / 0.2 = 128 > MAX_SLOPE at the start
+    cfg = _periodic_cfg(amplitude=30.0, width=0.2, t_end=0.01)
+    with pytest.raises(RuntimeError, match="^scaling check aborted on slope threshold; shorten the horizon$"):
+        scaling_galilean_check(cfg, 2.0)
 
 
 def test_scaling_check_small_defect():

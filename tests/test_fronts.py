@@ -42,6 +42,11 @@ def test_poly_bump_compact_support():
     assert np.max(np.abs(phix[edge])) < 1e-8
 
 
+def test_poly_bump_refuses_a_zero_width():
+    with pytest.raises(ValueError, match="^width must be positive, got 0.0$"):
+        front_profile(G.x, "poly_bump", amplitude=0.4, width=0.0, center=0.0)
+
+
 def test_windowed_cosine_plateau_is_pure_mode():
     phi, _ = front_profile(G.x, "windowed_cosine", amplitude=0.2, mode=3.0, plateau=4.0, support=10.0)
     inside = np.abs(G.x) <= 4.0

@@ -51,3 +51,8 @@ def test_boundary_stream_values():
     assert boundary_stream(0.0) == 0.0
     for y in (0.5, 2.5):
         assert abs(boundary_stream(-y) + boundary_stream(y)) < 1e-14  # odd
+
+
+def test_boundary_stream_refuses_a_non_finite_y():
+    with pytest.raises(ValueError, match="^y must be finite$"):
+        boundary_stream(math.nan)

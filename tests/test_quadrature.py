@@ -300,9 +300,11 @@ def test_cosine_integral_truncation_sweep():
 
 
 def _pair_grid(n, periodic=True):
-    # `_pair_sum` reads only these two fields of its grid; a stand-in also
-    # takes the odd n that LineGrid refuses
-    return types.SimpleNamespace(n=n, periodic=periodic)
+    # `_pair_sum` reads only these three fields of its grid; a stand-in also
+    # takes the odd n that LineGrid refuses. The raw-sum tests pass the unit
+    # kernel 0.0, whose diagonal correction adds an exact zero, and dx = 1
+    # leaves the sum unscaled
+    return types.SimpleNamespace(n=n, periodic=periodic, dx=1.0)
 
 
 def _direct_pair_sum(kern, rho, ends, diag=0.0):
@@ -338,7 +340,7 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block
 
-    got = _pair_sum(rows, _pair_grid(n, periodic=not ends), rho)
+    got = _pair_sum(rows, _pair_grid(n, periodic=not ends), rho, 0.0)
     assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
@@ -364,7 +366,7 @@ def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_r
         block[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan  # never read
         return block[:, i0:]
 
-    got = _pair_sum(upper_rows, _pair_grid(n, periodic=not ends), rho, symmetric=True)
+    got = _pair_sum(upper_rows, _pair_grid(n, periodic=not ends), rho, 0.0, symmetric=True)
     assert np.max(np.abs(got - _direct_pair_sum(kern, rho, ends))) < 1e-13
 
 
@@ -382,10 +384,10 @@ def test_nonlinear_term_triangular_matches_full_rows(monkeypatch, periodic, n):
     triangular = nonlinear_term(st, phix)
     pair_sum = quadrature._pair_sum
 
-    def full_rows(kernel_rows, grid, rho, *, symmetric=False, **kw):
+    def full_rows(kernel_rows, grid, rho, unit_kernel, *, symmetric=False, **kw):
         assert symmetric
         whole = kernel_rows(0, grid.n)
-        return pair_sum(lambda i0, i1: whole[i0:i1].copy(), grid, rho, **kw)
+        return pair_sum(lambda i0, i1: whole[i0:i1].copy(), grid, rho, unit_kernel, **kw)
 
     monkeypatch.setattr(quadrature, "_pair_sum", full_rows)
     assert np.max(np.abs(triangular - nonlinear_term(st, phix))) <= 1e-16
@@ -458,13 +460,13 @@ def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, co
     grid = _pair_grid(n, periodic=mode != "ends")
     kw = {"symmetric": symmetric, "threaded": True}
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, grid, rho, **kw)
+    one_core = _pair_sum(rows, grid, rho, 0.0, **kw)
     assert set(threads) == {threading.main_thread()}
     threads.clear()
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, cores)
     hold_first = cores > 1
-    assert np.array_equal(_pair_sum(rows, grid, rho, **kw), one_core)
+    assert np.array_equal(_pair_sum(rows, grid, rho, 0.0, **kw), one_core)
     assert later_done.is_set() == hold_first
     if hold_first:  # the calling thread only waits
         assert threading.main_thread() not in threads
@@ -489,7 +491,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
         return kern[i0:i1, i0:].copy()
 
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, _pair_grid(n), rho, symmetric=True, threaded=True)
+    one_core = _pair_sum(rows, _pair_grid(n), rho, 0.0, symmetric=True, threaded=True)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 6)
     monkeypatch.setattr(quadrature, "_pool", ThreadPoolExecutor(6))
@@ -498,7 +500,7 @@ def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh
     try:
         for _ in range(5):
             claimed.clear()
-            assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, symmetric=True, threaded=True), one_core)
+            assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, 0.0, symmetric=True, threaded=True), one_core)
             assert sorted(claimed) == list(range(n))
     finally:
         sys.setswitchinterval(interval)
@@ -595,7 +597,7 @@ def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
     monkeypatch.setattr(quadrature, "_pool", CountingPool(8))
     rng = np.random.default_rng(4)
     kern = rng.standard_normal((n, n))
-    _pair_sum(lambda i0, i1: kern[i0:i1].copy(), _pair_grid(n), rng.standard_normal(n), threaded=True)
+    _pair_sum(lambda i0, i1: kern[i0:i1].copy(), _pair_grid(n), rng.standard_normal(n), 0.0, threaded=True)
     assert quadrature._pool.submitted == 3
 
 
@@ -648,16 +650,16 @@ def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch
             inside.remove(i0)
 
     _on_cores(monkeypatch, 1)
-    one_core = _pair_sum(rows, _pair_grid(n), rho, threaded=True)
+    one_core = _pair_sum(rows, _pair_grid(n), rho, 0.0, threaded=True)
     fail = True
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="block 0 failed"):
-        _pair_sum(rows, _pair_grid(n), rho, threaded=True)
+        _pair_sum(rows, _pair_grid(n), rho, 0.0, threaded=True)
     assert inside == []
     assert failed_on and threading.main_thread() not in failed_on
     fail = False
-    assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, threaded=True), one_core)
+    assert np.array_equal(_pair_sum(rows, _pair_grid(n), rho, 0.0, threaded=True), one_core)
 
 
 def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
@@ -690,7 +692,7 @@ def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="block 0 failed"):
-        _pair_sum(rows, _pair_grid(n), np.ones(n), threaded=True)
+        _pair_sum(rows, _pair_grid(n), np.ones(n), 0.0, threaded=True)
     assert len(after_error) <= 4
 
 
@@ -729,7 +731,7 @@ def test_pair_sum_drops_kept_products_once_a_block_raises(monkeypatch, fresh_poo
     tracemalloc.start()
     try:
         with pytest.raises(RuntimeError, match="block 0 failed"):
-            _pair_sum(rows, _pair_grid(n), np.ones(n), symmetric=True, threaded=True)
+            _pair_sum(rows, _pair_grid(n), np.ones(n), 0.0, symmetric=True, threaded=True)
     finally:
         tracemalloc.stop()
     assert held["before"] - held["after"] >= kept / 2
@@ -889,11 +891,10 @@ def _linear_term_dense(state, phix):
     n, dx = g.n, g.dx
     sep = _separation(g)
     inv_s = _by_offset(1.0 / sep, n)
-    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), g, phix)
+    bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), g, phix, 1.0)
     own = _direct_pair_sum(_by_offset(-1.0 / np.hypot(sep, 1.0), n), None, True, -1.0)
     b = _end_distances(g)
-    return ((bare + phix * own) * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
-            + _diagonal_jump_correction(1.0, phix, g))
+    return bare + phix * own * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
 
 
 def _background_term_dense(state, phix, params):
@@ -973,6 +974,17 @@ def test_line_sums_take_no_dense_pair_sum(monkeypatch):
     monkeypatch.setattr(quadrature, "_pair_sum", dense)
     linear_term_quadrature(st, phix)
     background_term(st, phix, KernelParams(h=1.0))
+
+
+@pytest.mark.parametrize("op, message", [
+    (linear_term_quadrature, "linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier"),
+    (background_term, "background_term is line-mode only"),
+], ids=["linear", "background"])
+def test_line_sums_refuse_a_periodic_grid(op, message):
+    g = make_grid(-2.0 * np.pi, 4.0 * np.pi, 128, periodic=True)
+    st = make_state(g, 0.1 * np.cos(g.x))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        op(st, st.slope)
 
 
 def test_even_toeplitz_product_matches_dense_product():

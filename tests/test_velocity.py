@@ -135,6 +135,17 @@ def test_periodic_state_rejected():
         galilean_shift(st, KernelParams(h=1.0))
 
 
+def test_normal_velocity_bmo_refuses_a_shift_from_a_shallower_front():
+    # the shift's depth clears the front it was taken from, not this one,
+    # whose trough at the node x = 0 reaches -1.5
+    sh = galilean_shift(_state(), KernelParams(h=1.0))
+    deeper = _state(amplitude=-1.5)
+    assert float(np.min(deeper.phi)) == -1.5
+    with pytest.raises(ValueError, match=r"^reference depth must satisfy h \+ min\(phi\) > 0, "
+                                         r"got h=1\.0, min\(phi\)=-1\.5$"):
+        normal_velocity_bmo(deeper, sh)
+
+
 def test_normal_velocity_routes_agree():
     # strip-referenced route vs representative-velocity route
     assert measure_velocity_routes(1200, [GAUSSIAN], 1.0)[0] < 1e-6
