@@ -171,10 +171,9 @@ def write_manifest(path: Path, payload: dict) -> None:
 def _record(items) -> list:
     """Check records from (name, measured, tolerance) items. Each books the
     wall time since the one before: a lazily measured item is timed on its
-    own, a measurement feeding several checks on the first of them. scipy is
-    imported on first use, so the first check of a process that calls into
-    it also books that one-off import: of the suites' checks only
-    scale_identity_vs_log does (scipy.integrate and scipy.special)."""
+    own, a measurement feeding several checks on the first of them. The
+    checks run on numpy alone; the first scalar identity of a process books
+    the import of numpy.polynomial (a few ms)."""
     checks, t = [], time.perf_counter()
     for name, measured, tolerance in items:
         now = time.perf_counter()

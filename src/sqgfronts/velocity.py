@@ -59,6 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fronts import _smoothstep
 from .grid import FrontState, far_field_value
 from .quadrature import (
     KernelParams,
@@ -277,7 +278,8 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     return out + rho * ends + rho * shift.ubar - shift.vbar
 
 
-# half-width, in box cells, of the erf smoothing of the jump (sharp jumps ring)
+# smoothing scale, in box cells, of the strip's step (sharp jumps ring); the
+# step's transition spans _STEP_REACH scales either side of the jump
 _SMOOTHING_CELLS = 2.0
 
 
@@ -371,54 +373,68 @@ def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows
     return fields[:, :p], fields[:, p:]
 
 
-# erf(t) is exactly +-1.0 in double precision for |t| >= 5.922
-_ERF_SATURATES = 6.0
+# half-width, in smoothing scales, of the strip's step: it is exactly 0 or 1
+# beyond it
+_STEP_REACH = 4.0
+
+
+def _step(t, sigma: float):
+    """C-infinity step (fronts._smoothstep) of smoothing scale sigma: 0 for
+    t <= -_STEP_REACH sigma, 1 for t >= _STEP_REACH sigma."""
+    return _smoothstep(0.5 + t / (2.0 * _STEP_REACH * sigma))
 
 
 def _strip_temperature(coords: np.ndarray, phi_cols: np.ndarray, h: float, sigma: float):
     """Smoothed strip field theta = -2pi step(y + h) step(phi - y), by rows.
 
-    step(t) = (1 + erf(t / (sqrt2 sigma))) / 2; rows are y = coords, columns
-    carry the front heights phi_cols. Returns (flat, band, j0). The front
-    step is evaluated only on the band rows j0 <= j < j0 + len(band), within
-    _ERF_SATURATES scales of [min phi_cols, max phi_cols]: below the band
-    erf is exactly 1 and the step 1, above it exactly 0. So every other row
-    of theta is the constant flat[j] (flat is 0 on the band rows), band
-    holds the band rows, and the field they make equals the one evaluated at
-    every node bit for bit. The n x n field is never formed: memory is
-    O(n len(band)).
+    step is `_step`; rows are y = coords, columns carry the front heights
+    phi_cols. Returns (flat, band, j0). The front step is evaluated only on
+    the band rows j0 <= j < j0 + len(band), within _STEP_REACH scales of
+    [min phi_cols, max phi_cols]: below the band the step is exactly 1,
+    above it exactly 0. So every other row of theta is the constant flat[j]
+    (flat is 0 on the band rows), band holds the band rows, and the field
+    they make equals the one evaluated at every node bit for bit. The n x n
+    field is never formed: memory is O(n len(band)).
     """
-    # imported here, not at module level: only the box cross-check needs scipy
-    from scipy.special import erf
-
-    scale = np.sqrt(2.0) * sigma
-    reach = _ERF_SATURATES * scale
+    reach = _STEP_REACH * sigma
     j0 = int(np.searchsorted(coords, np.min(phi_cols) - reach, side="left"))
     j1 = int(np.searchsorted(coords, np.max(phi_cols) + reach, side="right"))
-    depth = -2.0 * np.pi * (0.5 * (1.0 + erf((coords + h) / scale)))
-    band = np.subtract(phi_cols[None, :], coords[j0:j1, None])
-    band /= scale
-    erf(band, out=band)
-    band += 1.0
-    band *= 0.5
+    depth = -2.0 * np.pi * _step(coords + h, sigma)
+    band = _step(np.subtract(phi_cols[None, :], coords[j0:j1, None]), sigma)
     band *= depth[j0:j1, None]
     depth[j0:] = 0.0
     return depth, band, j0
+
+
+def _cubic_at(grid, values: np.ndarray, points: np.ndarray, outside: float) -> np.ndarray:
+    """4-point cubic Lagrange interpolation of node values on the uniform
+    grid at the points, `outside` beyond the first and last node."""
+    x = grid.x
+    u = (points - x[0]) / grid.dx
+    i = np.clip(np.floor(u).astype(np.intp), 1, grid.n - 3)
+    t = u - i
+    tm, t1, t2 = t + 1.0, t - 1.0, t - 2.0
+    inner = (tm * t1 * t2 * values[i] - tm * t * t2 * values[i + 1]) / 2.0
+    outer = (tm * t * t1 * values[i + 2] - t * t1 * t2 * values[i - 1]) / 6.0
+    return np.where((points >= x[0]) & (points <= x[-1]), inner + outer, outside)
 
 
 def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams | None = None) -> dict:
     """Velocity of the strip temperature field by 2D FFT vs line quadrature.
 
     Takes theta = -2pi on the strip between depth -h and the front graph on
-    a periodic box and applies the perpendicular-Riesz multiplier
-    i k_perp/|k| on its real half-spectrum, with the zero mode and the
-    Nyquist row and column dropped. The n x n field and its spectrum are
-    never formed: theta is held as per-row constants plus the band rows the
-    front crosses (_strip_temperature), and the fields are evaluated at the
-    probe nodes only (_riesz_at_probes), so memory is O(n band rows). u is
-    compared against the quadrature velocity minus the flat-background
-    profile 2 log|y+h|, v against the quadrature v, at probes away from the
-    front. Returns a report dict with the sup mismatch.
+    a periodic box, smoothed across both edges by `_step`, the front's
+    height at each box column interpolated from the nodes by a 4-point cubic
+    (the far-field height phi_inf outside the window). It applies the
+    perpendicular-Riesz multiplier i k_perp/|k| on its real half-spectrum,
+    with the zero mode and the Nyquist row and column dropped. The n x n
+    field and its spectrum are never formed: theta is held as per-row
+    constants plus the band rows the front crosses (_strip_temperature),
+    and the fields are evaluated at the probe nodes only (_riesz_at_probes),
+    so memory is O(n band rows). u is compared against the quadrature
+    velocity minus the flat-background profile 2 log|y+h|, v against the
+    quadrature v, at probes away from the front. Returns a report dict with
+    the sup mismatch.
 
     Periodic images contribute O(h*y/size^2) systematic error; doubling the
     box at fixed cell size halves it (better, in practice).
@@ -445,13 +461,7 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
             if not (yg > phi_here + margin or yg < -h - margin):
                 raise ValueError(f"probe ({float(coords[ic])}, {yg}) is inside or too close to the strip")
 
-    # imported here, not at module level: only the box cross-check needs scipy
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(state.grid.x, state.phi, extrapolate=False)
-    phi_cols = spline(coords)
-    phi_cols = np.where(np.isnan(phi_cols), c_inf, phi_cols)
-
+    phi_cols = _cubic_at(state.grid, state.phi, coords, c_inf)
     u_box, v_box = _riesz_at_probes(*_strip_temperature(coords, phi_cols, h, sigma), d, rows, cols)
 
     mism_u = 0.0

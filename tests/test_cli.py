@@ -551,16 +551,23 @@ sq.velocity_at(final, 0.5, 3.0, shift)
 gp = sq.make_grid(-np.pi, 2.0 * np.pi, 64, periodic=True)
 sq.integrate(sq.SimConfig(grid=gp, t_end=0.01, initial_family="gaussian",
                           initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0}))
+sq.box_riesz_crosscheck(final, sq.BoxSpec(size=80.0, n=256), sq.KernelParams(h=1.0))
+sq.scale_identity(2.0)
+sq.cosine_integral_constant()
+for name in cli.SUITES:
+    cli.run_suite(name, None, None, 1.0)
 try:
     cli.main(["--help"])
 except SystemExit:
     pass
-print(sorted(m for m in ("scipy.interpolate", "scipy.special", "scipy.integrate") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_stepping_and_velocity_paths_load_no_scipy_submodule():
-    # a fresh interpreter: this test process has loaded scipy for other tests
+    # a fresh interpreter: this test process may have loaded scipy for other
+    # tests. Stepping, velocity, the box cross-check, the scalar identities
+    # and every verify suite load no scipy module at all
     res = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PATHS], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"

@@ -279,6 +279,8 @@ def test_scale_identity():
     assert measure_scale_identity((0.1, 0.5, 1.0, np.e, 10.0)) < 1e-10
     # the identity only sees |c|
     assert abs(scale_identity(-2.0) - np.log(2.0)) < 1e-10
+    # over 1000 doubling panels, whose ratio m / (c/8) overflows a double
+    assert abs(scale_identity(1e-307) / np.log(1e-307) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         scale_identity(0.0)
     with pytest.raises(ValueError):
@@ -289,6 +291,19 @@ def test_scale_identity_cutoff_insensitive():
     a = scale_identity(np.e, cutoff=1e3)
     b = scale_identity(np.e, cutoff=1e4)
     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-2, 1e2, 1e3])
+def test_scale_identity_against_live_mpmath(c):
+    # factors outside criterion 02's five: the first panel is c/8 wide at
+    # small c, and the doubling panels reach out to the cutoff 100 c at large
+    # c. The readings are 1.8e-15 at c = 1e-3 and 1e-2, 8.9e-16 at 1e2 and 1e3
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    cm = mp.mpf(c)
+    ref = mp.quad(lambda s: 1 / mp.sqrt(s**2 + 1) - 1 / mp.sqrt(s**2 + cm**2), [0, min(cm, 1), max(cm, 1), mp.inf])
+    assert abs(ref - mp.log(cm)) < 1e-25
+    assert abs(scale_identity(c) - float(ref)) < 1e-14
 
 
 def test_cosine_integral_truncation_sweep():

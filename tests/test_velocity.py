@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from sqgfronts import (
     BoxSpec,
@@ -40,7 +39,7 @@ from sqgfronts.quadrature import (
     _log_w_plus_root,
     _separation,
 )
-from sqgfronts.velocity import _SMOOTHING_CELLS, _riesz_at_probes, _strip_temperature
+from sqgfronts.velocity import _SMOOTHING_CELLS, _cubic_at, _riesz_at_probes, _step, _strip_temperature
 
 ORACLE_UBAR = -0.6131062346376577
 ORACLE_U_05_3 = 2.0228493696395711  # u at (0.5, 3.0)
@@ -573,21 +572,33 @@ def test_riesz_at_probes_matches_the_axis0_layout(monkeypatch, width, n, j0, row
         assert np.array_equal(got, ref)
 
 
+def test_cubic_at_is_exact_on_cubics_and_flat_outside():
+    # the box columns read the front by a 4-point cubic: exact on a cubic at
+    # every node, between nodes and in the end cells, c_inf beyond the ends
+    g = make_grid(-3.0, 6.0, 16)
+    cubic = lambda x: 0.3 * x**3 - x**2 + 0.5 * x - 2.0
+    x_last = g.x[-1]
+    inside = np.concatenate((g.x, np.linspace(-3.0, x_last, 101)))
+    assert np.max(np.abs(_cubic_at(g, cubic(g.x), inside, 7.0) - cubic(inside))) < 1e-12
+    outside = np.array([-3.0 - 1e-12, -50.0, x_last + 1e-12, 50.0])
+    assert np.all(_cubic_at(g, cubic(g.x), outside, 7.0) == 7.0)
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 @pytest.mark.parametrize("amplitude", [0.5, -0.4])
 def test_strip_temperature_band_matches_every_node(n, amplitude):
-    # the front step is evaluated on a band of rows only; outside it erf
-    # saturates, so the rows reassemble the field evaluated at all n^2 nodes
-    # bit for bit, and the probe velocities match its dense transform
+    # the front step is evaluated on a band of rows only; outside it the
+    # step is exactly 0 or 1, so the rows reassemble the field evaluated at
+    # all n^2 nodes bit for bit, and the probe velocities match its dense
+    # transform
     box = BoxSpec(size=80.0, n=n)
     d = box.size / n
     coords = -0.5 * box.size + d * np.arange(n)
     phi_cols, _ = front_profile(coords, "gaussian", amplitude=amplitude, width=2.0, center=0.3)
     h, sigma = 1.0, _SMOOTHING_CELLS * d
-    scale = np.sqrt(2.0) * sigma
     yy = coords[:, None]
-    want = 0.5 * (1.0 + erf((phi_cols[None, :] - yy) / scale))
-    want *= -2.0 * np.pi * (0.5 * (1.0 + erf((yy + h) / scale)))
+    want = _step(phi_cols[None, :] - yy, sigma)
+    want *= -2.0 * np.pi * _step(yy + h, sigma)
     flat, band, j0 = _strip_temperature(coords, phi_cols, h, sigma)
     assert np.all(flat[j0:j0 + len(band)] == 0.0)
     assert np.array_equal(_assemble(flat, band, j0), want)
