@@ -49,6 +49,7 @@ from .grid import (
 )
 from .quadrature import (
     _by_offset,
+    _height_factors,
     _pair_sum,
     _separation,
     background_term,
@@ -187,9 +188,10 @@ def rhs_galilean_form(state: FrontState, cfg: SimConfig) -> np.ndarray:
     phix = state.slope
 
     sep = _by_offset(_separation(g), g.n)
+    rows, cols = _height_factors(phi)
 
     def opposing_kernel(i0, i1):
-        return kernel_difference(sep[i0:i1], np.subtract.outer(phi[i0:i1], phi))
+        return kernel_difference(sep[i0:i1], rows[i0:i1] @ cols)
 
     opposing = _pair_sum(opposing_kernel, g, phix, kernel_difference(1.0, phix))
 

@@ -77,6 +77,16 @@ not symmetric and stays on full rows; the advective grouping
 `dynamics.rhs_galilean_form` stays on full rows as well, so that its
 agreement with `rhs` also checks the triangular accumulation.
 
+A block holds at most `_BLOCK_ELEMENTS` kernel entries unless it is one
+row (`_row_blocks`). Blocks of full rows all take the same number of rows;
+a triangular block takes more rows the narrower its rows are, so every
+block does about the same work and the sum pays the fixed cost of each
+block fewer times (line n = 2048: 34 triangular blocks, not 64). Every
+kernel that depends on the heights takes the height difference phi_i -
+phi_j of a block from one BLAS product of inner size 2
+(`_height_factors`), equal to the broadcast subtraction entry for entry
+at half its cost.
+
 Parallel blocks. `nonlinear_term`'s symmetric sum, once it forms more
 than `_PARALLEL_PAIRS` kernel entries, runs its row blocks on every usable
 core: a thread pool, started on first use (and again in a forked child)
@@ -86,9 +96,10 @@ order, and after each block the one that holds the lock adds every finished
 block not yet added into the row sums, in block order, the order of the
 one-core loop, so the sums are bit-for-bit the same on any core count.
 Below the cutoff, which the symmetric n = 512 sum of the periodic backend
-stays under, the blocks run on the calling thread alone: there the threads'
-hand-offs of the GIL cost what the other cores save. The cutoff is the
-measured crossover of that sum alone; the velocity routes' sums and
+(176 612 entries in 3 blocks) stays under, the blocks run on the calling
+thread alone: there the threads' hand-offs of the GIL cost what the other
+cores save. The cutoff is the measured crossover of that sum alone, on the
+line grid between n = 512 and 576; the velocity routes' sums and
 `dynamics.rhs_galilean_form`'s full-row sum stay on one core, since no
 crossover of theirs was measured and the threaded velocity sums were slower
 in the n = 1024 velocity analysis. Nor does a sum run threaded while other
@@ -230,10 +241,32 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-# kernel entries per row block (512 KiB): small enough for the in-place passes
-# over a block to stay in a core's cache; 16 MB blocks ran the line-mode sums
-# 1.5 to 5 times slower at n = 2048
+# most kernel entries in a row block (512 KiB) unless it is one row: small
+# enough for the in-place passes over a block to stay in a core's cache; 16 MB
+# blocks ran the line-mode sums 1.5 to 5 times slower at n = 2048. `_row_blocks`
+# sizes full-row and triangular blocks alike to it
 _BLOCK_ELEMENTS = 65_536
+
+
+def _row_blocks(n: int, symmetric: bool) -> tuple[list[int], list[int]]:
+    """First rows and past-the-last rows of the pair sum's row blocks, in order.
+
+    A block on full rows holds rows x n kernel entries, so each takes
+    _BLOCK_ELEMENTS // n rows. A symmetric block from row i0 holds only
+    rows x (n - i0), so it takes _BLOCK_ELEMENTS // (n - i0) rows: fixed-size
+    blocks would shrink towards the last row, and their fixed cost (about 45 us
+    a block threaded, 20 us on one core, at line n = 2048) would then outweigh
+    their entries. No block holds more than _BLOCK_ELEMENTS entries unless it
+    is one row. Line n = 2048 takes 34 triangular blocks (64 on full rows),
+    periodic n = 512 takes 3.
+    """
+    starts, ends = [], []
+    i0 = 0
+    while i0 < n:
+        starts.append(i0)
+        i0 = min(n, i0 + max(1, _BLOCK_ELEMENTS // (n - i0 if symmetric else n)))
+        ends.append(i0)
+    return starts, ends
 
 
 def _by_offset(values: np.ndarray, n: int) -> np.ndarray:
@@ -266,7 +299,8 @@ def _separation(grid) -> np.ndarray:
 
 # kernel entries above which a threaded pair sum runs its row blocks on every
 # usable core (see _pair_sum): measured crossover of the one-core and threaded
-# symmetric nonlinear_term sums
+# symmetric nonlinear_term sums, on the line grid between n = 512 (176 612
+# entries, threaded/one core 0.99-1.21) and n = 576 (209 898, 0.93-1.08)
 _PARALLEL_PAIRS = 200_000
 
 _pool: ThreadPoolExecutor | None = None
@@ -407,6 +441,10 @@ def _pair_sum(kernel_rows, grid, rho, unit_kernel, *, symmetric: bool = False, t
     `dynamics.rhs_galilean_form`: with `normal_velocity_bmo` it is the
     full-row side of the standing checks on the triangular accumulation.
 
+    The row blocks come from `_row_blocks`: at most _BLOCK_ELEMENTS entries
+    each unless one row, and more rows to a symmetric block the further down
+    it starts.
+
     Parallel blocks: a `threaded` call whose blocks form more than
     `_PARALLEL_PAIRS` kernel entries (rows x (n - i0) for a symmetric block,
     rows x n for a full one) runs them on the pool, one worker for each
@@ -429,19 +467,17 @@ def _pair_sum(kernel_rows, grid, rho, unit_kernel, *, symmetric: bool = False, t
     n = grid.n
     w = np.ones(n) if grid.periodic else _trapezoid_weights(n)
     rhs = np.column_stack((w, w * rho))
-    size = max(1, _BLOCK_ELEMENTS // n)
-    starts = range(0, n, size)
-    pairs = sum(min(size, n - i0) * (n - i0 if symmetric else n) for i0 in starts)
+    starts, ends = _row_blocks(n, symmetric)
+    pairs = sum((i1 - i0) * (n - i0 if symmetric else n) for i0, i1 in zip(starts, ends))
     workers = 1
     if threaded and pairs > _PARALLEL_PAIRS and not _other_load(_core_set()):
         workers = min(_usable_cores(), len(starts))
 
-    def products(i0):
-        i1 = min(n, i0 + size)
+    def products(k):
+        i0, i1 = starts[k], ends[k]
         j0 = i0 if symmetric else 0
         kern = kernel_rows(i0, i1)
-        rows = np.arange(i1 - i0)
-        kern[rows, rows + i0 - j0] = 0.0
+        np.fill_diagonal(kern[:, i0 - j0:], 0.0)
         return kern @ rhs[j0:], kern[:, i1 - i0:].T @ rhs[i0:i1] if symmetric else None
 
     acc = np.zeros(rhs.shape)
@@ -458,7 +494,7 @@ def _pair_sum(kernel_rows, grid, rho, unit_kernel, *, symmetric: bool = False, t
                 if k >= len(starts) or failed.is_set():
                     return
                 try:
-                    block = products(starts[k])
+                    block = products(k)
                 except BaseException:
                     with adding:  # no sum will be formed: drop what waits for it
                         failed.set()
@@ -469,8 +505,7 @@ def _pair_sum(kernel_rows, grid, rho, unit_kernel, *, symmetric: bool = False, t
                         return
                     done[k] = block
                     while added < len(starts) and done[added] is not None:
-                        i0, (own, beyond) = starts[added], done[added]
-                        i1 = min(n, i0 + size)
+                        i0, i1, (own, beyond) = starts[added], ends[added], done[added]
                         acc[i0:i1] += own
                         if beyond is not None:
                             acc[i1:] += beyond
@@ -544,14 +579,35 @@ def _diagonal_jump_correction(unit_kernel, phix: np.ndarray, grid) -> np.ndarray
     return dx * dx / 12.0 * stencil_derivative(flux, dx, periodic)
 
 
-def _front_kernel(phi_rows: np.ndarray, phi_cols: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Block of 1/sqrt(s^2 + dphi^2) between target heights phi_rows and
-    source heights phi_cols, built in place from the matching s^2 block."""
-    k = np.subtract.outer(phi_rows, phi_cols)
+def _height_factors(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (a, b) of the height differences: a[i0:i1] @ b[:, j0:j1] is the
+    block phi_i - phi_j, a = [phi, -1] by rows and b = [1; phi] by columns.
+
+    Each entry is phi_i * 1 + (-1) * phi_j, two exact products and one
+    rounding, so it equals np.subtract.outer's entry with or without FMA, bar
+    the sign of an exact zero (which a square drops). The BLAS product of inner
+    size 2 costs about 0.5 ns an entry, the broadcast subtraction about 1.1 ns.
+    """
+    ones = np.ones_like(phi)
+    return np.column_stack((phi, -ones)), np.vstack((ones, phi))
+
+
+def _front_kernel(rows: np.ndarray, cols: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Block of 1/sqrt(s^2 + dphi^2) between target and source heights, given
+    as the `_height_factors` rows of the targets and columns of the sources,
+    built in place from the matching s^2 block; bit for bit the block built
+    from np.subtract.outer."""
+    k = rows @ cols
     np.square(k, out=k)
     k += s2
     np.sqrt(k, out=k)
     return np.reciprocal(k, out=k)
+
+
+def _unit_front_kernel(rho: np.ndarray) -> np.ndarray:
+    """K(1, phi_x) = 1/sqrt(1 + phi_x^2), the front kernel at unit separation
+    along the tangent (the flux of `_diagonal_jump_correction`)."""
+    return 1.0 / np.sqrt(np.square(rho) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +635,15 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     sep = _separation(g)
     s2 = _by_offset(sep * sep, n)
     inv_s = _by_offset(1.0 / sep, n)
+    rows, cols = _height_factors(phi)
 
     def contrast(i0, i1):
-        k = _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:])
+        k = _front_kernel(rows[i0:i1], cols[:, i0:], s2[i0:i1, i0:])
         k -= inv_s[i0:i1, i0:]
         return k
 
     # the kernel is symmetric in (x, x')
-    out = _pair_sum(contrast, g, rho, _front_kernel(rho, 0.0, 1.0) - 1.0, symmetric=True, threaded=True)
+    out = _pair_sum(contrast, g, rho, _unit_front_kernel(rho) - 1.0, symmetric=True, threaded=True)
     if not g.periodic:
         # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
         b = _end_distances(g)
@@ -706,13 +763,30 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
 
 # nodes per Gauss-Legendre panel. Each panel of the scalar identities lies well
 # inside the region where its integrand is analytic, so what 40 nodes leave is
-# rounding and the error of leggauss's weights (up to 7e-13 relative)
+# rounding (see _gauss_legendre for the weights)
 _GAUSS_NODES = 40
 
 
 @lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple:
-    t, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    """Nodes t and weights w of the Gauss-Legendre rule on [-1, 1].
+
+    The nodes are leggauss's. Its weights come from P_n' at the nodes before
+    its last Newton step and err up to 7e-13 relative, so each weight is
+    recomputed at the final node, w = 2 / ((1 - t^2) P_n'(t)^2), with P_n' =
+    n (P_(n-1) - t P_n) / (1 - t^2) from the three-term recurrence, and the
+    weights scaled to sum to 2, as leggauss scales its own; they err up to
+    2.4e-14 relative.
+    """
+    n = _GAUSS_NODES
+    t = np.polynomial.legendre.leggauss(n)[0]
+    p_prev, p = np.ones_like(t), t
+    for k in range(1, n):  # (k + 1) P_(k+1) = (2k + 1) t P_k - k P_(k-1)
+        p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+    one_less = 1.0 - t * t
+    slope = n * (p_prev - t * p) / one_less
+    w = 2.0 / (one_less * slope * slope)
+    w *= 2.0 / w.sum()
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
@@ -722,7 +796,7 @@ def _panel_sum(f, edges: np.ndarray) -> float:
     consecutive edges."""
     t, w = _gauss_legendre()
     half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    mid = (0.5 * edges[1:] + 0.5 * edges[:-1])[:, None]  # no sum can overflow
     return float(np.sum(half * w * f(mid + half * t)))
 
 
@@ -736,16 +810,19 @@ def scale_identity(c: float, cutoff: float = 1.0e3) -> float:
     c = abs(float(c))
     if c == 0.0 or not np.isfinite(c):
         raise ValueError("scale factor must be nonzero and finite")
+    if not math.isfinite(100.0 * c):
+        raise ValueError(f"scale factor c = {c} is too large: its cutoff 100 c is not finite")
     m = max(cutoff, 100.0 * c)
     first = min(1.0, c) / 8.0
     # in logarithms: m / first and 2^k overflow for c below about 4e-305
     doublings = np.arange(math.ceil(math.log2(m) - math.log2(first)))
     edges = np.concatenate(([0.0], np.ldexp(first, doublings), [m]))
     body = _panel_sum(lambda s: 1.0 / np.hypot(s, 1.0) - 1.0 / np.hypot(s, c), edges)
-    c2 = c * c
-    tail = (-(1.0 - c2) / (4.0 * m**2)
-            + 3.0 * (1.0 - c2 * c2) / (32.0 * m**4)
-            - 5.0 * (1.0 - c2 * c2 * c2) / (96.0 * m**6))
+    # (1 - c^2k) / m^2k from 1/m and c/m <= 0.01, so no power can overflow
+    u2, r2 = (1.0 / m) ** 2, (c / m) ** 2
+    tail = (-(u2 - r2) / 4.0
+            + 3.0 * (u2 * u2 - r2 * r2) / 32.0
+            - 5.0 * (u2 * u2 * u2 - r2 * r2 * r2) / 96.0)
     return body + tail
 
 

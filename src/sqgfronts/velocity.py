@@ -69,10 +69,12 @@ from .quadrature import (
     _end_term,
     _end_term_at,
     _front_kernel,
+    _height_factors,
     _pair_sum,
     _separation,
     _strip_row_sums,
     _trapezoid_weights,
+    _unit_front_kernel,
     _unit_reference,
     resolve_depth,
 )
@@ -235,11 +237,12 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     d1 = phi - c_inf
 
     s2 = _by_offset(_separation(g) ** 2, n)
+    rows, cols = _height_factors(phi)
 
     # front kernel against the slope contrast, minus rho(x) times the strip row
     # sum, whose node carries the smooth value 1/c1
-    front = _pair_sum(lambda i0, i1: _front_kernel(phi[i0:i1], phi[i0:], s2[i0:i1, i0:]), g, rho,
-                      _front_kernel(rho, 0.0, 1.0), symmetric=True)
+    front = _pair_sum(lambda i0, i1: _front_kernel(rows[i0:i1], cols[:, i0:], s2[i0:i1, i0:]), g, rho,
+                      _unit_front_kernel(rho), symmetric=True)
     strip = _strip_row_sums(g, c1) + _trapezoid_weights(n) / c1
     b = _end_distances(g)
     star = front - rho * strip * dx + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx))
@@ -265,14 +268,15 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
 
     ref = 1.0 / np.hypot(x, h + phi)  # anchored kernel, per source node
     s2 = _by_offset(_separation(g) ** 2, n)
+    rows, cols = _height_factors(phi)
 
     def anchored(i0, i1):
-        k = _front_kernel(phi[i0:i1], phi, s2[i0:i1])
+        k = _front_kernel(rows[i0:i1], cols, s2[i0:i1])
         k -= ref
         return k
 
     # the reference is smooth at x' = x: the kink is the front kernel's
-    out = _pair_sum(anchored, g, rho, _front_kernel(rho, 0.0, 1.0))
+    out = _pair_sum(anchored, g, rho, _unit_front_kernel(rho))
     # front kernel at the target's clamped end distances, reference at the anchor
     ends = _end_term(*_end_distances(g), d1, dx) - _end_term(x[-1], -x[0], d, dx)
     return out + rho * ends + rho * shift.ubar - shift.vbar

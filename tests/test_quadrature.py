@@ -306,6 +306,40 @@ def test_scale_identity_against_live_mpmath(c):
     assert abs(scale_identity(c) - float(ref)) < 1e-14
 
 
+@pytest.mark.parametrize("c", [1e150, 1e300, 1.7e306])
+def test_scale_identity_at_large_factors(c):
+    # the tail's powers come from 1/m and c/m, so no m^k overflows; the
+    # readings are 2.2e-16 to 4.4e-16 relative
+    assert abs(scale_identity(c) / np.log(c) - 1.0) < 2e-15
+
+
+def test_scale_identity_refuses_a_factor_whose_cutoff_overflows():
+    with pytest.raises(ValueError, match="c = 1e\\+307"):
+        scale_identity(1e307)
+
+
+def test_gauss_legendre_weights_against_mpmath():
+    # each weight against 2 / ((1 - x^2) P_n'(x)^2) at the node x refined in
+    # mpmath at 40 digits; they read 2.3e-14 relative, leggauss's own 7e-13
+    mp = pytest.importorskip("mpmath")
+    t, w = quadrature._gauss_legendre()
+    n = t.size
+
+    def slope(x):  # P_n'(x) = n (x P_n - P_(n-1)) / (x^2 - 1)
+        return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+
+    worst = 0.0
+    with mp.workdps(40):
+        for ti, wi in zip(t, w):
+            x = mp.mpf(ti)
+            for _ in range(3):
+                x -= mp.legendre(n, x) / slope(x)
+            assert abs(x - ti) <= 2e-16 * max(abs(x), 1e-3)
+            exact = 2 / ((1 - x * x) * slope(x) ** 2)
+            worst = max(worst, abs(float((wi - exact) / exact)))
+    assert worst < 5e-14
+
+
 def test_cosine_integral_truncation_sweep():
     base = cosine_integral_constant(inner=350.0)
     for inner in (200.0, 700.0):
@@ -364,12 +398,17 @@ def test_pair_sum_matches_direct_double_sum(monkeypatch, ends, block_rows, contr
 @pytest.mark.parametrize("contrast", [True])
 @pytest.mark.parametrize("n", [40, 41])
 def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_rows, contrast, n):
-    # triangular row blocks: one block (None), one row per block, and sizes
-    # that leave a short last block on an even and an odd grid, line (`ends`)
-    # or periodic; the slope-contrast sum is the one mode, its axis keeps the
-    # case ids stable
+    # triangular row blocks: one block (None), one row per block (one entry a
+    # block), and blocks of up to 7 n or 25 n entries, whose first block takes
+    # 7 or 25 rows and whose last is short, on an even and an odd grid, line
+    # (`ends`) or periodic; the slope-contrast sum is the one mode, its axis
+    # keeps the case ids stable
     if block_rows is not None:
-        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", block_rows * n)
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 1 if block_rows == 1 else block_rows * n)
+        starts, ends = quadrature._row_blocks(n, True)
+        assert ends[0] == block_rows
+        last = ends[-1] - starts[-1]  # cut short by the grid's end
+        assert block_rows == 1 or len(starts) > 1 and last < quadrature._BLOCK_ELEMENTS // last
     rng = np.random.default_rng(11)
     kern = rng.standard_normal((n, n))
     kern += kern.T
@@ -409,13 +448,60 @@ def test_nonlinear_term_triangular_matches_full_rows(monkeypatch, periodic, n):
 
 
 def test_pair_sum_blocking_leaves_periodic_term_unchanged(monkeypatch):
+    # one block against triangular blocks of up to 7 n entries: 21 blocks at
+    # n = 256, the first of 7 rows
     g = make_grid(-8.0 * np.pi, 16.0 * np.pi, 256, periodic=True)
     phi, phix = front_profile(g.x, "gaussian", amplitude=0.1, width=0.5, center=0.3)
     st = make_state(g, phi)
     whole = nonlinear_term(st, phix)
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 7 * g.n)
+    assert len(quadrature._row_blocks(g.n, True)[0]) == 21
     blocked = nonlinear_term(st, phix)
     assert np.max(np.abs(whole - blocked)) < 1e-16
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n", [7, 512, 2048])
+def test_row_blocks_cover_every_row_once_within_the_block_size(symmetric, n):
+    starts, ends = quadrature._row_blocks(n, symmetric)
+    assert starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1]
+    assert all(i1 > i0 for i0, i1 in zip(starts, ends))
+    entries = [(i1 - i0) * (n - i0 if symmetric else n) for i0, i1 in zip(starts, ends)]
+    assert all(e <= quadrature._BLOCK_ELEMENTS or i1 - i0 == 1
+               for e, i0, i1 in zip(entries, starts, ends))
+    # the counts the module's docstrings quote: line n = 2048 and periodic
+    # n = 512 on triangular blocks, full rows at n = 2048
+    want = {(2048, True): (34, 2_185_241), (512, True): (3, 176_612), (2048, False): (64, 2048 * 2048)}
+    if (n, symmetric) in want:
+        assert (len(starts), sum(entries)) == want[n, symmetric]
+
+
+def test_row_blocks_hold_one_row_where_a_row_exceeds_the_block_size(monkeypatch):
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 1)
+    for symmetric in (True, False):
+        assert quadrature._row_blocks(5, symmetric) == ([0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
+
+
+def test_height_factors_match_the_outer_difference_bit_for_bit():
+    # heights of either sign from 1e-300 to 1e150, exact zeros of both signs
+    # and coinciding heights, on blocks of triangular and full rows: every
+    # difference is the outer one's, and each front kernel block its bits
+    rng = np.random.default_rng(27)
+    n = 300
+    phi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 150.0, n)
+    phi[:8] = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150]
+    phi[8:12] = phi[4:8]
+    rows, cols = quadrature._height_factors(phi)
+    s2 = _by_offset(np.square(_separation(_pair_grid(n, periodic=False))), n)
+    for i0, i1, j0 in [(0, 40, 0), (0, 40, 40), (37, 101, 37), (250, 300, 250), (299, 300, 0)]:
+        want = np.subtract.outer(phi[i0:i1], phi[j0:])
+        got = rows[i0:i1] @ cols[:, j0:]
+        assert np.array_equal(got, want)
+        zero = want == 0.0
+        assert np.array_equal(np.signbit(got[~zero]), np.signbit(want[~zero]))
+        kern = quadrature._front_kernel(rows[i0:i1], cols[:, j0:], s2[i0:i1, j0:])
+        old = np.reciprocal(np.sqrt(np.square(want) + s2[i0:i1, j0:]))
+        assert np.array_equal(kern.view(np.int64), old.view(np.int64))
 
 
 @pytest.fixture
@@ -448,9 +534,11 @@ def _line_front(n, amplitude=0.5):
 @pytest.mark.parametrize("mode", ["symmetric", "ends", "full"])
 @pytest.mark.parametrize("n", [64, 131, 200])
 def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, cores, mode, n):
-    # 5 rows a block: 13 to 40 blocks, claimed by the calling thread alone or
-    # by 2 or 3 pool threads, out of order: the pool thread that holds block 0
-    # waits until another pool thread has finished a later block
+    # blocks of up to 5 n entries: 5 rows a block on full rows (13 to 40
+    # blocks), 5 rows and more on triangular ones (8 to 23 blocks), claimed by
+    # the calling thread alone or by 2 or 3 pool threads, out of order: the
+    # pool thread that holds block 0 waits until another pool thread has
+    # finished a later block
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 5 * n)
     symmetric = mode == "symmetric"
     rng = np.random.default_rng(n)
@@ -490,11 +578,11 @@ def test_pair_sum_threads_match_one_core_bit_for_bit(monkeypatch, fresh_pool, co
 
 
 def test_pair_sum_claims_every_block_once_under_thread_stress(monkeypatch, fresh_pool):
-    # six pool threads on any machine, one row a block and a 1 us switch
-    # interval: a lost block breaks the bit-for-bit equality, one claimed
-    # twice the count
+    # six pool threads on any machine, one row a block (one entry a block) and
+    # a 1 us switch interval: a lost block breaks the bit-for-bit equality,
+    # one claimed twice the count
     n = 200
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 1)
     rng = np.random.default_rng(3)
     kern = rng.standard_normal((n, n))
     kern += kern.T
@@ -560,7 +648,8 @@ def test_pool_threads_call_no_public_function(monkeypatch, fresh_pool):
         for name, fn in list(vars(mod).items()):
             if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__.startswith("sqgfronts."):
                 monkeypatch.setattr(mod, name, recording(fn))
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)  # 16 blocks at n = 256
+    # 16 blocks at n = 256 on full rows, 10 on triangular ones
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch)
     st, _ = _line_front(256)
@@ -580,7 +669,8 @@ def test_only_nonlinear_term_sums_run_on_the_pool(monkeypatch, fresh_pool):
     # the cutoff is the crossover measured for nonlinear_term's symmetric sum;
     # the velocity routes' sums and rhs_galilean_form's full-row sum stay on
     # the calling thread however many pairs they form
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)  # 16 blocks at n = 256
+    # 16 blocks at n = 256 on full rows, 10 on triangular ones
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 16 * 256)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
     _on_cores(monkeypatch)
     st, phix = _line_front(256)
@@ -596,7 +686,7 @@ def test_only_nonlinear_term_sums_run_on_the_pool(monkeypatch, fresh_pool):
 
 
 def test_pair_sum_submits_no_more_threads_than_blocks(monkeypatch, fresh_pool):
-    # three blocks on eight cores: three pool threads
+    # three blocks of full rows on eight cores: three pool threads
     n = 30
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)
     monkeypatch.setattr(quadrature, "_PARALLEL_PAIRS", 0)
@@ -642,7 +732,7 @@ def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch
     # error reaches the caller, but only when no pool thread is inside
     # kernel_rows any more, and the next threaded call runs as usual
     n = 60
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)  # 6 blocks
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 10 * n)  # 6 blocks of full rows
     rng = np.random.default_rng(5)
     kern = rng.standard_normal((n, n))
     rho = rng.standard_normal(n)
@@ -678,11 +768,11 @@ def test_pair_sum_raises_a_pool_threads_error_after_every_block_ends(monkeypatch
 
 
 def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
-    # one row a block on 3 pool threads, every other block 20 ms long; block
-    # 0 fails once two other blocks have started. Past that point each of the
-    # other 2 threads starts at most the block it had claimed, and one more
-    # while the error is on its way out of kernel_rows (with no stop, the
-    # other 196 blocks started after it)
+    # one row a block (full rows of n entries) on 3 pool threads, every other
+    # block 20 ms long; block 0 fails once two other blocks have started. Past
+    # that point each of the other 2 threads starts at most the block it had
+    # claimed, and one more while the error is on its way out of kernel_rows
+    # (with no stop, the other 196 blocks started after it)
     n = 200
     monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
     kern = np.random.default_rng(6).standard_normal((n, n))
@@ -712,13 +802,14 @@ def test_pair_sum_claims_no_block_after_an_error(monkeypatch, fresh_pool):
 
 
 def test_pair_sum_drops_kept_products_once_a_block_raises(monkeypatch, fresh_pool):
-    # one row a block on 2 pool threads; block 0 fails once the other thread
-    # has finished blocks 1-60, whose transposed products (about 32 KiB each)
-    # wait for block 0 in the ordered reduction. Block 61, under way, then
-    # watches the memory the sum holds: it must fall by most of them before
-    # the call returns, not stay held until the call ends
+    # one row a block (one entry a block) on 2 pool threads; block 0 fails
+    # once the other thread has finished blocks 1-60, whose transposed
+    # products (about 32 KiB each) wait for block 0 in the ordered reduction.
+    # Block 61, under way, then watches the memory the sum holds: it must fall
+    # by most of them before the call returns, not stay held until the call
+    # ends
     n = 2048
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", n)
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 1)
     started = []
     raised = threading.Event()
     held = {}
