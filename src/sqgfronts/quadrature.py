@@ -31,7 +31,11 @@ with w_r = B - x0 and w_l = x0 - A the distances to the window ends
 (`_end_term`). Each op adds the signed difference of the T of its two
 kernels, in which the constant cancels. The correction lifts the scheme
 from O(dx^2) to O(dx^4); without it the endpoint error of the slowly
-decaying kernels dominates everything else.
+decaying kernels dominates everything else. What depends on the grid alone
+is built once per grid, on first use: the unit reference and its end term
+(`_unit_reference`), and the end distances, the flat-front end terms,
+`linear_term_quadrature`'s row sums and the spectrum of its circulant
+(`_line_tables`).
 
 Diagonal rule: every integrand here is a slope contrast times a kernel,
 (rho(x) - rho(x')) K(s, dphi), with K even in s and in dphi and homogeneous
@@ -179,11 +183,12 @@ def kernel_difference(delta_x, delta_phi):
 # ---------------------------------------------------------------------------
 # shared line-mode machinery
 
-def _log_w_plus_root(w, c):
+def _log_w_plus_root(w, c, root=None):
     """log(w + sqrt(w^2 + c^2)), stable for w of either sign; needs c > 0
-    where w < 0 (c = 0 with w > 0 gives log 2w)."""
+    where w < 0 (c = 0 with w > 0 gives log 2w). root, if given, is
+    np.hypot(w, c), already formed by the caller."""
     w = np.asarray(w, dtype=np.float64)
-    big = np.abs(w) + np.hypot(w, c)
+    big = np.abs(w) + (np.hypot(w, c) if root is None else root)
     # for w < 0, w + root = c^2 / (|w| + root), free of the cancellation;
     # c / big <= 1 first, so the product cannot overflow
     return np.log(np.where(w >= 0.0, big, c / big * c))
@@ -198,7 +203,8 @@ def _end_term(w_r, w_l, c, dx: float):
     negative (a probe outside the window) only where c > 0.
     """
     w = np.array([w_r, w_l], dtype=np.float64)
-    end = dx * dx / 12.0 * w / np.hypot(w, c) ** 3 - _log_w_plus_root(w, c)
+    root = np.hypot(w, c)
+    end = dx * dx / 12.0 * w / root ** 3 - _log_w_plus_root(w, c, root)
     return end[0] + end[1]
 
 
@@ -540,17 +546,20 @@ def _even_row_sum(kernel: np.ndarray) -> np.ndarray:
     return prefix + prefix[..., ::-1]
 
 
-def _even_toeplitz_product(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j kernel[|i - j|] v_j for every row i, in O(n log n).
+def _circulant_spectrum(kernel: np.ndarray) -> np.ndarray:
+    """rfft of the circulant of length 2n that embeds the even Toeplitz
+    matrix kernel[|i - j|]: the offsets 0..n-1, a zero, then n-1..1.
+    kernel[0] is read; pass 0 there to leave out the diagonal."""
+    return np.fft.rfft(np.concatenate((kernel, [0.0], kernel[:0:-1])))
 
-    The even Toeplitz matrix is embedded in a circulant of length 2n (the
-    offsets 0..n-1, a zero, then n-1..1), so one zero-padded real FFT
-    product applies it exactly: no product wraps onto another row.
-    kernel[0] is read; pass 0 there to leave out the diagonal.
+
+def _even_toeplitz_product(spectrum: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j kernel[|i - j|] v_j for every row i, in O(n log n), given the
+    kernel's `_circulant_spectrum`: one zero-padded real FFT product applies
+    the circulant exactly, and no product wraps onto another row.
     """
-    n = kernel.size
-    circulant = np.concatenate((kernel, [0.0], kernel[:0:-1]))
-    return np.fft.irfft(np.fft.rfft(circulant) * np.fft.rfft(v, 2 * n), 2 * n)[:n]
+    n = v.size
+    return np.fft.irfft(spectrum * np.fft.rfft(v, 2 * n), 2 * n)[:n]
 
 
 def _diagonal_jump_correction(unit_kernel, phix: np.ndarray, grid) -> np.ndarray:
@@ -613,6 +622,32 @@ def _unit_front_kernel(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the three front-tendency integrals
 
+@lru_cache(maxsize=8)
+def _line_tables(grid) -> tuple:
+    """What the line-mode tendency terms take from the grid alone, built once
+    per grid, every array read-only:
+
+      b       the end distances (b_r, b_l) of `_end_distances`;
+      flat    T(b, 0), the end term of 1/|s| that `nonlinear_term` subtracts;
+      own     `linear_term_quadrature`'s row sums of 1/|s| less the recentered
+              reference, less the trapezoid weight at the node, which
+              carries the reference's smooth value -phi_x;
+      kernel  the `_circulant_spectrum` of 1/|s| without its diagonal;
+      ends    T(b, 0) - T(b, 1), `linear_term_quadrature`'s end terms.
+    """
+    n, dx = grid.n, grid.dx
+    b = _end_distances(grid)
+    flat = _end_term(*b, 0.0, dx)
+    sep = _separation(grid)[n - 1:]  # by node offset 0..n-1
+    inv_s = 1.0 / sep
+    inv_s[0] = 0.0
+    own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0)) - _trapezoid_weights(n)
+    tables = (flat, own, _circulant_spectrum(inv_s), flat - _end_term(*b, 1.0, dx))
+    for table in (*b, *tables):
+        table.flags.writeable = False
+    return (b, *tables)
+
+
 def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     """Nonlinear self-interaction integral at every grid node.
 
@@ -646,8 +681,8 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     out = _pair_sum(contrast, g, rho, _unit_front_kernel(rho) - 1.0, symmetric=True, threaded=True)
     if not g.periodic:
         # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
-        b = _end_distances(g)
-        out += rho * (_end_term(*b, phi - far_field_value(state), dx) - _end_term(*b, 0.0, dx))
+        b, flat, *_ = _line_tables(g)
+        out += rho * (_end_term(*b, phi - far_field_value(state), dx) - flat)
     return out
 
 
@@ -664,24 +699,19 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
     The bare sum rho_i (K w)_i - (K (w rho))_i, K = 1/|s|, takes O(n log n):
     the row sums K w depend on the grid alone and come, with the recentered
     reference, from `_even_row_sum`; K (w rho) is one zero-padded FFT product.
+    The row sums, K's circulant spectrum and the end terms are built once per
+    grid (`_line_tables`).
     """
     g = state.grid
     if g.periodic:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
-    n, dx = g.n, g.dx
     rho = np.asarray(phix, dtype=np.float64)
     diag_coda = _diagonal_jump_correction(1.0, rho, g)
-
-    sep = _separation(g)[n - 1:]  # by node offset 0..n-1
-    inv_s = 1.0 / sep
-    inv_s[0] = 0.0
-    w = _trapezoid_weights(n)
+    _, _, own, kernel, ends = _line_tables(g)
     # rho(x) times the row sums of 1/|s| less the recentered reference, whose
     # node carries the smooth value -phi_x; minus the product with w rho
-    own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0)) - w
-    out = (rho * own - _even_toeplitz_product(inv_s, w * rho)) * dx
-    b = _end_distances(g)
-    return out + rho * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx)) + diag_coda
+    out = (rho * own - _even_toeplitz_product(kernel, _trapezoid_weights(g.n) * rho)) * g.dx
+    return out + rho * ends + diag_coda
 
 
 def _strip_heights(lo: float, hi: float, dx: float) -> np.ndarray:

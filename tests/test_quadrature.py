@@ -1099,7 +1099,8 @@ def test_even_toeplitz_product_matches_dense_product():
         kernel, v = rng.standard_normal(n), rng.standard_normal(n)
         offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         want = kernel[offsets] @ v
-        assert np.max(np.abs(quadrature._even_toeplitz_product(kernel, v) - want)) <= 1e-13
+        spectrum = quadrature._circulant_spectrum(kernel)
+        assert np.max(np.abs(quadrature._even_toeplitz_product(spectrum, v) - want)) <= 1e-13
 
 
 def test_end_term_at_matches_end_term():
@@ -1109,6 +1110,23 @@ def test_end_term_at_matches_end_term():
     for w_r, w_l, c in ((29.9, 30.0, 1.0), (-5.0, 65.0, 0.3), (70.0, -10.0, 2.0), (3.0, 4.0, 0.0)):
         want = float(_end_term(w_r, w_l, c, dx))
         assert abs(quadrature._end_term_at(w_r, w_l, c, dx) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_line_tables_are_built_once_per_grid():
+    # what the line terms take from the grid alone, read-only and kept per
+    # grid; the end terms equal the ones formed afresh bit for bit
+    g = make_grid(-30.0, 60.0, 256)
+    b, flat, own, kernel, ends = quadrature._line_tables(g)
+    assert quadrature._line_tables(make_grid(-30.0, 60.0, 256))[1] is flat
+    assert not any(a.flags.writeable for a in (*b, flat, own, kernel, ends))
+    fresh = _end_distances(g)
+    assert all(np.array_equal(x, y) for x, y in zip(b, fresh))
+    assert np.array_equal(flat, _end_term(*fresh, 0.0, g.dx))
+    assert np.array_equal(ends, _end_term(*fresh, 0.0, g.dx) - _end_term(*fresh, 1.0, g.dx))
+    # a second call reads the tables the first one left as they were
+    st = make_state(g, 0.3 * np.exp(-g.x ** 2))
+    first = linear_term_quadrature(st, st.slope)
+    assert np.array_equal(linear_term_quadrature(st, st.slope), first)
 
 
 def test_unit_reference_is_built_once_per_grid():

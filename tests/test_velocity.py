@@ -241,6 +241,25 @@ def test_box_spec_validation():
         BoxSpec(size=40.0, n=10)
 
 
+@pytest.mark.parametrize("n", [1024.0, "1024", True, np.float64(256.0), 2**70])
+def test_box_spec_refuses_a_non_integer_size(n):
+    # as make_grid does: a float or a string count is refused, not truncated
+    with pytest.raises(ValueError, match="^box n must "):
+        BoxSpec(size=80.0, n=n)
+
+
+def test_box_spec_takes_numpy_scalars():
+    box = BoxSpec(size=np.float32(80.0), n=np.int64(256), probe_x=(np.float64(1.0), 2), probe_y=(np.int64(-5),))
+    assert type(box.n) is int and box.n == 256
+
+
+@pytest.mark.parametrize("size", ["80", None, 80.0 + 0.0j, True, 10**400, np.nan],
+                         ids=["str", "none", "complex", "bool", "int-past-float", "nan"])
+def test_box_spec_refuses_a_non_real_side(size):
+    with pytest.raises(ValueError, match="^box size must "):
+        BoxSpec(size=size, n=256)
+
+
 @pytest.mark.parametrize("probes, name", [
     (dict(probe_x=(100.0,)), "probe_x"),
     (dict(probe_x=(0.0, -40.5)), "probe_x"),
@@ -250,6 +269,13 @@ def test_box_spec_validation():
     (dict(probe_y=(-np.inf,)), "probe_y"),
     (dict(probe_x=()), "probe_x"),
     (dict(probe_y=()), "probe_y"),
+    # not a real number
+    (dict(probe_x=("3.0",)), "probe_x"),
+    (dict(probe_x="3"), "probe_x"),
+    (dict(probe_y=(5.0, None)), "probe_y"),
+    (dict(probe_y=(1j,)), "probe_y"),
+    (dict(probe_y=(False,)), "probe_y"),
+    (dict(probe_x=(10**400,)), "probe_x"),
 ])
 def test_box_spec_refuses_probes_outside_the_box(probes, name):
     # such a probe would snap to an edge node, and an empty tuple would
@@ -518,58 +544,49 @@ def test_riesz_at_probes_matches_full_inverse_transform():
         assert np.max(np.abs(v_sub - v_full[np.ix_(rows, cols)])) <= 1e-12
 
 
-def _riesz_at_probes_axis0(flat, band, j0, d, rows, cols):
-    # _riesz_at_probes with each kx block laid out (y, kx) and transformed
-    # along axis 0, as first written
-    n = flat.size
-    half = n // 2
-    my = np.fft.ifftshift(np.arange(-half, half))
-    mx = np.arange(half)
-    dk = 2.0 * np.pi / (n * d)
-    ky, kx = dk * my, dk * mx
-    ky2 = ky * ky
-    ky2[half] = np.inf
-    phase = lambda m, j: np.exp(2.0j * np.pi * (np.multiply.outer(m, j) % n / n))
-    col = phase(mx, np.asarray(cols))
-    col[1:] *= 2.0
-    col = np.hstack((col, 1.0j * kx[:, None] * col))
-    band_x = np.fft.rfft(band)
-    part = np.zeros((n, col.shape[1]), dtype=complex)
-    width = max(1, velocity._BLOCK_ELEMENTS // n)
-    for c0 in range(0, half, width):
-        c1 = min(half, c0 + width)
-        spec = np.zeros((n, c1 - c0), dtype=complex)
-        spec[j0:j0 + len(band)] = band_x[:, c0:c1]
-        k2 = np.add.outer(ky2, kx[c0:c1] ** 2)
-        if c0 == 0:
-            spec[:, 0] += n * flat
-            k2[0, 0] = np.inf
-        spec = np.fft.fft(spec, axis=0)
-        k2 **= -0.5
-        spec *= k2
-        part += spec @ col[c0:c1]
-    p = len(cols)
-    part[:, :p] *= -1.0j * ky[:, None]
-    fields = (phase(np.asarray(rows), my) @ part).real / (n * n)
-    return fields[:, :p], fields[:, p:]
+# the kernel form against the dense transform: at most 2.7e-15 on the random
+# fields below (up to 3.3 in size) and 4.4e-15 on the tall band's (up to 5.1),
+# where the earlier y-FFT form read 1.6e-15 and 1.2e-15
+_KERNEL_FORM_ERROR = 1e-14
 
 
 @pytest.mark.parametrize("width", [None, 7])
 @pytest.mark.parametrize("n, j0, rows_in_band", [(256, 90, 40), (1024, 0, 1024), (1024, 500, 37), (2048, 1000, 60)])
-def test_riesz_at_probes_matches_the_axis0_layout(monkeypatch, width, n, j0, rows_in_band):
-    # the (kx, y) block layout transforms along the contiguous axis; its
-    # fields are bit for bit those of the (y, kx) layout, with the default
-    # blocks and with 7 columns a block (short last blocks)
+def test_riesz_at_probes_matches_the_dense_transform(monkeypatch, width, n, j0, rows_in_band):
+    # random bands and flat rows, with the default blocks and with 7 kx
+    # columns a block (short last blocks); probe rows repeated, unordered,
+    # and one n/2 rows from the band's first row, where the folded offsets
+    # of the two kernel halves meet
+    rows, cols = [n - 56, 3, 3, n // 2, 0, (j0 + n // 2) % n], [n - 1, 0, 77, n // 3]
     if width is not None:
-        monkeypatch.setattr(velocity, "_BLOCK_ELEMENTS", width * n)
+        monkeypatch.setattr(velocity, "_BLOCK_ELEMENTS", width * max(n, 2 * len(rows) * rows_in_band))
     rng = np.random.default_rng(n + j0)
     flat = rng.standard_normal(n)
     flat[j0:j0 + rows_in_band] = 0.0
     band = rng.standard_normal((rows_in_band, n))
-    rows, cols = [n - 56, 3, 3, n // 2, 0], [n - 1, 0, 77, n // 3]
     for got, ref in zip(_riesz_at_probes(flat, band, j0, 0.3, rows, cols),
-                        _riesz_at_probes_axis0(flat, band, j0, 0.3, rows, cols)):
-        assert np.array_equal(got, ref)
+                        _box_fields_dense(flat, band, j0, 0.3, rows, cols)):
+        assert np.max(np.abs(got - ref)) <= _KERNEL_FORM_ERROR
+
+
+def test_riesz_at_probes_reads_a_tall_band_at_every_offset():
+    # the amplitude-12 front's strip crosses 170 rows of the 1024^2 box;
+    # probe rows n/2 from its first and last rows and from a middle one read
+    # the kernels where the two folded halves meet, and probes inside the
+    # band, repeated and unordered, read offsets of either sign
+    n, size = 1024, 80.0
+    d = size / n
+    coords = -0.5 * size + d * np.arange(n)
+    phi_cols, _ = front_profile(coords, "gaussian", amplitude=12.0, width=2.0, center=1.0)
+    flat, band, j0 = _strip_temperature(coords, phi_cols, 1.0, _SMOOTHING_CELLS * d)
+    nb = len(band)
+    assert nb > 150
+    rows = [(j0 + n // 2) % n, (j0 + nb - 1 + n // 2) % n, (j0 + nb // 2 + n // 2) % n,
+            j0 + nb // 2, j0, j0 + nb - 1, j0 + nb // 2, 3]
+    cols = [n // 2, 550, 0, n - 1]
+    for got, ref in zip(_riesz_at_probes(flat, band, j0, d, rows, cols),
+                        _box_fields_dense(flat, band, j0, d, rows, cols)):
+        assert np.max(np.abs(got - ref)) <= _KERNEL_FORM_ERROR
 
 
 def test_cubic_at_is_exact_on_cubics_and_flat_outside():
