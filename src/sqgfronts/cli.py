@@ -18,9 +18,10 @@ record holds name, measured, tolerance, passed and wall_s.
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 config error (including a numeric flag out of range). Config files are JSON;
-`load_config` checks their keys and JSON types, and the library types it
-builds (`make_grid`, `front_profile`, `SimConfig`) check the ranges, so each
-refusal names its field. CSV bodies are deterministic for a fixed config,
+`load_config` checks their keys and object shapes, and the library types it
+builds (`make_grid`, `front_profile`, `SimConfig`) check each value's type
+and range, with messages that `load_config` prefixes by the field's path, so
+each refusal names its field. CSV bodies are deterministic for a fixed config,
 and bit-identical whatever the number of cores the dense pair sums run on;
 manifests add wall time and the number of usable cores (both excluded from
 the determinism contract).
@@ -45,6 +46,7 @@ from .grid import (
     EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
     LineGrid,
+    _real,
     make_grid,
     make_state,
 )
@@ -81,13 +83,6 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
-def _is_number(v) -> bool:
-    # JSON true/false load as bool, a subclass of int; NaN and Infinity load
-    # as floats, and an integer literal may be too large for a float (the
-    # comparison is exact and false for NaN)
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def _only(d: dict, fields: tuple, prefix: str = ""):
     """Reject the keys of d that are not in fields, naming each."""
     extra = [prefix + key for key in d if key not in fields]
@@ -114,14 +109,10 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     _expect(isinstance(gspec, dict), "grid", "must be an object")
     _only(gspec, ("n", "length", "x_min", "periodic"), "grid.")
     n = _get(gspec, "n", "grid")
-    length = _get(gspec, "length", "grid")
-    _expect(_is_number(length), "grid.length", "must be a finite number")
-    x_min = _get(gspec, "x_min", "grid", required=False, default=-0.5 * float(length))
-    _expect(_is_number(x_min), "grid.x_min", "must be a finite number")
-    periodic = _get(gspec, "periodic", "grid", required=False, default=False)
-    _expect(isinstance(periodic, bool), "grid.periodic", "must be true or false")
     with _usage("grid."):
-        grid = make_grid(float(x_min), float(length), n, periodic=periodic)
+        length = _real(_get(gspec, "length", "grid"), "length")  # a number before it sets x_min
+        grid = make_grid(_get(gspec, "x_min", "grid", required=False, default=-0.5 * length), length, n,
+                         periodic=_get(gspec, "periodic", "grid", required=False, default=False))
 
     ispec = _get(raw, "initial", "<root>")
     _expect(isinstance(ispec, dict), "initial", "must be an object")
@@ -129,22 +120,17 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     family = _get(ispec, "family", "initial")
     params = _get(ispec, "params", "initial", required=False, default={})
     _expect(isinstance(params, dict), "initial.params", "must be an object")
-    for key, value in params.items():
-        _expect(_is_number(value), f"initial.params.{key}", "must be a finite number")
     try:
         front_profile(grid.x, family, **params)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"initial: {str(e).replace(f'_{family}()', f'{family}')}") from None
-
-    dt = _get(raw, "dt", "<root>", required=False)
-    _expect(dt is None or _is_number(dt), "dt", "must be a finite number or null")
-    t_end = _get(raw, "t_end", "<root>")
-    _expect(_is_number(t_end), "t_end", "must be a finite number")
-    stride = _get(raw, "output_stride", "<root>", required=False, default=1)
+        # a refusal that starts with a parameter's name is that parameter's
+        where = "initial.params." if str(e).split(" ", 1)[0] in params else "initial: "
+        raise UsageError(where + str(e).replace(f"_{family}()", f"{family}")) from None
 
     with _usage():
-        cfg = SimConfig(grid=grid, t_end=float(t_end), initial_family=family, initial_params=dict(params),
-                        dt=None if dt is None else float(dt), output_stride=stride)
+        cfg = SimConfig(grid=grid, t_end=_get(raw, "t_end", "<root>"), initial_family=family,
+                        initial_params=dict(params), dt=_get(raw, "dt", "<root>", required=False),
+                        output_stride=_get(raw, "output_stride", "<root>", required=False, default=1))
     return cfg, raw
 
 
@@ -527,12 +513,9 @@ def cmd_velocity_map(args) -> int:
 def _numbers(text: str, flag: str) -> list:
     """A nonempty comma list of finite numbers."""
     with _usage(f"{flag}: "):
-        values = [float(t) for t in text.split(",") if t.strip()]
+        values = [_real(float(t), t.strip()) for t in text.split(",") if t.strip()]
     if not values:
         raise UsageError(f"{flag} needs at least one number")
-    bad = [v for v in values if not math.isfinite(v)]
-    if bad:
-        raise UsageError(f"{flag} takes finite numbers only, got {bad[0]}")
     return values
 
 
@@ -541,10 +524,10 @@ def _check_flags(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and (n < 8 or n % 2):
         raise UsageError(f"--n must be an even integer >= 8, got {n}")
-    for dest in ("dt", "tolerance_scale"):
-        value = getattr(args, dest, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise UsageError(f"--{dest.replace('_', '-')} must be a positive finite number, got {value}")
+    with _usage():
+        for dest in ("dt", "tolerance_scale"):
+            if getattr(args, dest, None) is not None:
+                _real(getattr(args, dest), f"--{dest.replace('_', '-')}", positive=True)
 
 
 # ---------------------------------------------------------------------------

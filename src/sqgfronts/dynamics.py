@@ -41,7 +41,9 @@ from .grid import (
     TWO_GAMMA_MINUS_LOG4,
     FrontState,
     LineGrid,
+    _flag,
     _integer,
+    _real,
     apply_linear_multiplier,
     make_state,
     support_defect,
@@ -76,7 +78,10 @@ MAX_SLOPE = 100.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation setup.
+    """Simulation setup. Each number is refused if it is a bool, a string,
+    None or not finite, and each flag unless it is a bool (`grid._real`,
+    `grid._flag`), with a ValueError that starts with the field's name;
+    numpy scalars are taken and held as float or bool.
 
     grid : LineGrid; its periodicity picks the backend
     initial_family / initial_params : analytic initial front, see `fronts`
@@ -111,18 +116,16 @@ class SimConfig:
         if self.backend not in (None, backend):
             raise ValueError(f"backend must be None or {backend!r} on this grid, got {self.backend!r}")
         object.__setattr__(self, "backend", backend)
-        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        object.__setattr__(self, "t_end", _real(self.t_end, "t_end", positive=True))
         if self.dt is not None:
-            if not (np.isfinite(self.dt) and self.dt > 0.0):
-                raise ValueError(f"dt must be positive, got {self.dt}")
+            object.__setattr__(self, "dt", _real(self.dt, "dt", positive=True))
             if self.t_end < self.dt:
                 raise ValueError("t_end must be at least one step")
         object.__setattr__(self, "output_stride", _integer(self.output_stride, "output_stride"))
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if not (np.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
-            raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
+        object.__setattr__(self, "cfl_safety", _real(self.cfl_safety, "cfl_safety", positive=True))
+        object.__setattr__(self, "audit_background", _flag(self.audit_background, "audit_background"))
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,7 @@ def _stability_step(state: FrontState) -> float:
 
 def step_rk4(state: FrontState, dt: float, cfg: SimConfig) -> FrontState:
     """One Lawson-form RK4 step of the tendency `rhs`, see the module docstring."""
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _real(dt, "dt", positive=True)
     g, t = state.grid, state.t
     if g.periodic:
         lam = g.spectral.rate
@@ -354,8 +356,7 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     Periodic backend only: a line front leaks out of the flat-tail window as
     it evolves, so the rescaled run cannot be mapped onto the resolved one.
     """
-    if not (np.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive, got {k}")
+    k = _real(k, "k", positive=True)
     if not cfg.grid.periodic:
         raise ValueError("scaling_galilean_check needs the periodic_spectral backend, got 'line_quadrature'")
     g = cfg.grid

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import _real
+
 __all__ = ["front_profile", "FAMILIES"]
 
 
@@ -86,6 +88,11 @@ FAMILIES = {
 def front_profile(x: np.ndarray, family: str, **params):
     """Evaluate a named family.
 
+    Every parameter must be a finite real number: a bool, a string, None,
+    NaN or an infinity is refused with a ValueError that starts with the
+    parameter's name (`grid._real`), before the family's own range checks.
+    numpy scalars are taken.
+
     Returns
     -------
     (phi, phi_x) : pair of ndarrays
@@ -95,4 +102,5 @@ def front_profile(x: np.ndarray, family: str, **params):
         fn = FAMILIES[family]
     except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise ValueError(f"unknown front family {family!r}; options: {sorted(FAMILIES)}") from None
+    params = {key: _real(value, key) for key, value in params.items()}
     return fn(np.asarray(x, dtype=np.float64), **params)

@@ -24,6 +24,8 @@ real fields go through rfft/irfft, modes k = 0 .. n/2.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -67,6 +69,34 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str, positive: bool = False) -> float:
+    """value as a float; a bool, str, None, complex, NaN, infinity or an int
+    past the float range is refused, and with positive=True so is a value
+    <= 0. numpy real scalars are taken. Every library type checks each
+    number it takes here, so each refusal is a ValueError that starts with
+    the field's name."""
+    if type(value) is not float:  # a Python float needs no type test
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if positive and not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """value as a bool; only a bool or a numpy bool is taken, not a truthy
+    number or string."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class LineGrid:
     """Uniform grid x_j = x_min + j*dx, j = 0..n-1.
@@ -87,12 +117,16 @@ class LineGrid:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.n % 2 != 0:
             raise ValueError(f"n must be even for spectral ops, got {self.n}")
-        # one test for a finite x_min, a positive finite dx and a window whose
-        # last node is finite and whose spacing outgrows the rounding of its
-        # ends (false for every NaN or infinity among them)
-        x_min, dx = float(self.x_min), float(self.dx)
-        last = x_min + (self.n - 1) * dx  # a Python float overflows to inf, with no warning
-        if not dx > np.spacing(max(abs(x_min), abs(last))):
+        object.__setattr__(self, "x_min", _real(self.x_min, "x_min"))
+        object.__setattr__(self, "periodic", _flag(self.periodic, "periodic"))
+        # a float dx, NaN and infinities too, is judged by the window test,
+        # which names x_min and dx together
+        dx = float(self.dx) if isinstance(self.dx, float) else _real(self.dx, "dx")
+        # one test for a positive finite dx and a window whose last node is
+        # finite and whose spacing outgrows the rounding of its ends (false
+        # for a NaN or infinite dx)
+        last = self.x_min + (self.n - 1) * dx  # a Python float overflows to inf, with no warning
+        if not dx > np.spacing(max(abs(self.x_min), abs(last))):
             raise ValueError(f"x_min = {self.x_min} and dx = {self.dx} must give {self.n} increasing "
                              f"finite nodes, got a last node {last}")
 
@@ -126,12 +160,11 @@ def make_grid(x_min: float, length: float, n: int, periodic: bool = False) -> Li
     periodic : bool
         Periodic backend flag.
     """
-    if length <= 0.0 or not np.isfinite(length):
-        raise ValueError(f"length must be positive and finite, got {length}")
+    length = _real(length, "length", positive=True)
     n = _integer(n, "n")
     if n <= 0:
         raise ValueError(f"n must be a positive even count, got {n}")
-    return LineGrid(x_min=float(x_min), n=n, dx=float(length) / n, periodic=periodic)
+    return LineGrid(x_min=x_min, n=n, dx=length / n, periodic=periodic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +188,7 @@ class FrontState:
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi contains non-finite values")
         object.__setattr__(self, "phi", _read_only(phi))
+        object.__setattr__(self, "t", _real(self.t, "t"))
 
     @cached_property
     def slope(self) -> np.ndarray:

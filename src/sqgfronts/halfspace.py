@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grid import _real
+
 __all__ = ["HalfSpacePoint", "harmonic_extension", "stream_function", "boundary_stream"]
 
 
@@ -27,10 +29,8 @@ class HalfSpacePoint:
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("coordinates must be finite")
-        if self.z <= 0.0:
-            raise ValueError(f"half-space point needs z > 0, got z = {self.z}")
+        object.__setattr__(self, "y", _real(self.y, "y"))
+        object.__setattr__(self, "z", _real(self.z, "z", positive=True))
 
 
 def harmonic_extension(p: HalfSpacePoint) -> float:
@@ -46,8 +46,7 @@ def stream_function(p: HalfSpacePoint) -> float:
 
 def boundary_stream(y: float) -> float:
     """Boundary trace -2y + 2y log|y|; 0 at y = 0 by continuity."""
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
+    y = _real(y, "y")
     if y == 0.0:
         return 0.0
     return -2.0 * y + 2.0 * y * math.log(abs(y))

@@ -125,7 +125,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FrontState, far_field_value, stencil_derivative
+from .grid import FrontState, _real, far_field_value, stencil_derivative
 
 __all__ = [
     "KernelParams",
@@ -153,8 +153,8 @@ class KernelParams:
     h: float | None = None
 
     def __post_init__(self):
-        if self.h is not None and (not np.isfinite(self.h) or self.h <= 0.0):
-            raise ValueError(f"h must be positive, got {self.h}")
+        if self.h is not None:
+            object.__setattr__(self, "h", _real(self.h, "h", positive=True))
 
 
 def resolve_depth(state: FrontState, params: KernelParams | None = None) -> float:
@@ -837,12 +837,12 @@ def scale_identity(c: float, cutoff: float = 1.0e3) -> float:
     both scales, to the cutoff, plus an asymptotic tail; equals log|c|,
     which the verification suite checks rather than assumes.
     """
-    c = abs(float(c))
-    if c == 0.0 or not np.isfinite(c):
-        raise ValueError("scale factor must be nonzero and finite")
+    c = abs(_real(c, "c"))
+    if c == 0.0:
+        raise ValueError("c must be nonzero")
     if not math.isfinite(100.0 * c):
         raise ValueError(f"scale factor c = {c} is too large: its cutoff 100 c is not finite")
-    m = max(cutoff, 100.0 * c)
+    m = max(_real(cutoff, "cutoff", positive=True), 100.0 * c)
     first = min(1.0, c) / 8.0
     # in logarithms: m / first and 2^k overflow for c below about 4e-305
     doublings = np.arange(math.ceil(math.log2(m) - math.log2(first)))
@@ -872,8 +872,9 @@ def cosine_integral_constant(inner: float = 350.0, cutoff: float = 1.0e6) -> flo
     there to `cutoff`, analytic remainder beyond. The cutoff cancels to
     rounding, which the truncation-sweep test relies on.
     """
-    if inner < 50.0:
+    if _real(inner, "inner") < 50.0:
         raise ValueError("inner cutoff too small for the asymptotic tail series")
+    cutoff = _real(cutoff, "cutoff", positive=True)
 
     cycles = int(math.ceil(inner / (2.0 * math.pi)))
     a = cycles * 2.0 * math.pi

@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .fronts import _smoothstep
-from .grid import FrontState, _integer, far_field_value
+from .grid import FrontState, _integer, _real, far_field_value
 from .quadrature import (
     KernelParams,
     _BLOCK_ELEMENTS,
@@ -187,14 +186,15 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     callers that pass one.
 
     The probe may sit outside the grid window in x; tails use the flat
-    continuation of the front. Raises if a coordinate is not finite, the
-    probe is within one grid spacing of the front graph, or it is so far
-    out that its end terms overflow: about 9e307 from the window.
+    continuation of the front. Raises if a coordinate is not a finite real
+    number, the probe is within one grid spacing of the front graph, or it
+    is so far out that its end terms overflow: about 9e307 from the window.
     """
     _require_line(state, "velocity_at")
-    for name, value in (("x", x), ("y", y)):
-        if not math.isfinite(value):
-            raise ValueError(f"probe {name} = {value} is not finite")
+    try:
+        x, y = _real(x, "x"), _real(y, "y")
+    except ValueError as e:
+        raise ValueError(f"{e} (probe x = {x!r}, probe y = {y!r})") from None
     z, q, weights, q_rho, e1, c_inf, nodes, heights = _probe_tables(state)
     dx = state.grid.dx
     if abs(y - _height_at(nodes, heights, c_inf, x)) < dx:
@@ -214,7 +214,7 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     if not math.isfinite(u):
         raise ValueError(f"probe ({x}, {y}) is too far from the front: its end terms overflow")
     v = -(t_v + q_rho) * dx
-    return VelocitySample(x=float(x), y=float(y), u=u, v=v)
+    return VelocitySample(x=x, y=y, u=u, v=v)
 
 
 def normal_velocity_background(state: FrontState, params: KernelParams | None = None) -> np.ndarray:
@@ -288,26 +288,20 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
 _SMOOTHING_CELLS = 2.0
 
 
-def _finite_real(value) -> bool:
-    """Whether value is a finite real number: a bool, a string, a complex or
-    an integer past the float range is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class BoxSpec:
     """Periodic box for the 2D transform cross-check.
 
-    size : side length (the box is [-size/2, size/2)^2)
+    size : side length (the box is [-size/2, size/2)^2), a positive finite
+        real number
     n : nodes per side
-    probe_x, probe_y : probe coordinates, combined as a product; each tuple
-        is non-empty, every value lies in [-size/2, size/2), and every probe
-        must sit away from the strip
+    probe_x, probe_y : probe coordinates, combined as a product; each is
+        non-empty, every value is a finite real number in [-size/2, size/2),
+        and every probe must sit away from the strip
+
+    A bool, a string, None or a non-finite value is refused with a
+    ValueError that names the field (`grid._real`); numpy scalars are taken.
+    size is held as a float.
     """
 
     size: float
@@ -316,20 +310,19 @@ class BoxSpec:
     probe_y: tuple = (-12.0, -8.0, -5.0, 5.0, 8.0, 12.0)
 
     def __post_init__(self):
-        if not (_finite_real(self.size) and self.size > 0.0):
-            raise ValueError(f"box size must be a positive finite real number, got {self.size!r}")
+        object.__setattr__(self, "size", _real(self.size, "box size", positive=True))
         object.__setattr__(self, "n", _integer(self.n, "box n"))
         if self.n < 16 or self.n % 2:
             raise ValueError(f"box n must be even and >= 16, got {self.n}")
         half = 0.5 * self.size
         for name in ("probe_x", "probe_y"):
-            values = getattr(self, name)
-            if len(values) == 0:
+            values = tuple(_real(value, name) for value in getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} is empty: the check would compare no probe")
             for value in values:
                 # a value outside the box would snap to an edge node unnoticed
-                if not (_finite_real(value) and -half <= value < half):
-                    raise ValueError(f"{name} = {value!r} is not a finite coordinate in the box [{-half}, {half})")
+                if not -half <= value < half:
+                    raise ValueError(f"{name} = {value!r} is not a coordinate in the box [{-half}, {half})")
 
 
 def _riesz_at_probes(flat: np.ndarray, band: np.ndarray, j0: int, d: float, rows, cols):

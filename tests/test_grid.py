@@ -7,16 +7,26 @@ from sqgfronts import (
     EULER_GAMMA,
     TWO_GAMMA_MINUS_LOG4,
     FrontState,
+    HalfSpacePoint,
+    KernelParams,
     LineGrid,
+    SimConfig,
     apply_linear_multiplier,
+    boundary_stream,
     build_workspace,
+    cosine_integral_constant,
     far_field_value,
     finite_difference_derivative,
+    front_profile,
     make_grid,
     make_state,
+    scale_identity,
+    scaling_galilean_check,
     spectral_derivative,
+    step_rk4,
     support_defect,
     validate_line_support,
+    velocity_at,
 )
 from sqgfronts.grid import stencil_derivative
 
@@ -260,3 +270,72 @@ def test_stencil_derivative_bitwise_equals_pad_formula(n, periodic):
     values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
     got = stencil_derivative(values, 0.037, periodic)
     assert np.array_equal(got, _stencil_by_pad_and_roll(values, 0.037, periodic))
+
+
+# Every public type and entry point checks each number and flag it takes
+# through grid._real and grid._flag: (field, call of the value, a value that
+# used to pass as a number or flag, or to end in a TypeError naming no field,
+# or in a silently wrong front; a numpy scalar the call still takes)
+_LINE = make_grid(-30.0, 60.0, 256)
+_PHI = np.exp(-(_LINE.x / 2.0) ** 2) * 0.3
+_LINE_STATE = make_state(_LINE, _PHI)
+_LINE_CFG = SimConfig(grid=_LINE, t_end=0.004, dt=0.002)
+_PERIODIC_CFG = SimConfig(grid=make_grid(-2.0 * np.pi, 4.0 * np.pi, 64, periodic=True), t_end=0.01,
+                          initial_family="gaussian", initial_params={"amplitude": 0.1, "width": 0.5, "center": 0.0})
+_FRONT = {"amplitude": 0.3, "width": 2.0, "center": 0.0}
+_WINDOWED = {"amplitude": 0.1, "mode": 1.0, "plateau": 2.0, "support": 6.0}
+
+INPUT_CASES = [
+    # a bool taken as a number
+    ("t_end", "true", lambda v: SimConfig(grid=_LINE, t_end=v), True, np.float64(1.0)),
+    ("dt", "true", lambda v: SimConfig(grid=_LINE, t_end=1.0, dt=v), True, np.float64(0.5)),
+    ("h", "true", lambda v: KernelParams(h=v), True, np.int64(2)),
+    ("length", "true", lambda v: make_grid(0.0, v, 64), True, np.int64(60)),
+    ("dt", "step-true", lambda v: step_rk4(_LINE_STATE, v, _LINE_CFG), True, np.float64(0.002)),
+    ("k", "true", lambda v: scaling_galilean_check(_PERIODIC_CFG, v), True, np.float64(2.0)),
+    ("x", "true", lambda v: velocity_at(_LINE_STATE, v, 3.0), True, np.float64(0.5)),
+    ("z", "true", lambda v: HalfSpacePoint(0.0, v), True, np.int64(1)),
+    ("c", "true", lambda v: scale_identity(v), True, np.int64(3)),
+    ("inner", "true", lambda v: cosine_integral_constant(inner=v), True, np.int64(350)),
+    # a truthy value taken as a flag
+    ("periodic", "yes", lambda v: LineGrid(x_min=0.0, n=64, dx=0.5, periodic=v), "yes", np.bool_(True)),
+    ("periodic", "false", lambda v: LineGrid(x_min=0.0, n=64, dx=0.5, periodic=v), "false", np.bool_(False)),
+    ("periodic", "1", lambda v: make_grid(0.0, 60.0, 64, periodic=v), 1, np.bool_(True)),
+    ("audit_background", "no", lambda v: SimConfig(grid=_LINE, t_end=1.0, audit_background=v), "no",
+     np.bool_(True)),
+    # a bare TypeError, or a ValueError, that named no field
+    ("t_end", "str", lambda v: SimConfig(grid=_LINE, t_end=v), "1", np.int64(1)),
+    ("cfl_safety", "none", lambda v: SimConfig(grid=_LINE, t_end=1.0, cfl_safety=v), None, np.float64(0.5)),
+    ("h", "str", lambda v: KernelParams(h=v), "1", np.float64(1.0)),
+    ("length", "str", lambda v: make_grid(0.0, v, 64), "60", np.float64(60.0)),
+    ("x_min", "none", lambda v: make_grid(v, 60.0, 64), None, np.float64(-30.0)),
+    ("x_min", "str", lambda v: make_grid(v, 60.0, 64), "a", np.int64(-30)),
+    ("y", "str", lambda v: HalfSpacePoint(v, 1.0), "a", np.float64(0.5)),
+    ("y", "boundary-str", boundary_stream, "1", np.int64(2)),
+    ("x", "str", lambda v: velocity_at(_LINE_STATE, v, 3.0), "1", np.int64(1)),
+    ("dt", "step-str", lambda v: step_rk4(_LINE_STATE, v, _LINE_CFG), "0.1", np.float64(0.001)),
+    ("k", "str", lambda v: scaling_galilean_check(_PERIODIC_CFG, v), "2", np.int64(2)),
+    ("amplitude", "str", lambda v: front_profile(_LINE.x, "gaussian", **{**_FRONT, "amplitude": v}), "a",
+     np.float64(0.3)),
+    ("cutoff", "str", lambda v: scale_identity(2.0, cutoff=v), "a", np.int64(1000)),
+    # a non-finite value taken silently
+    ("center", "inf", lambda v: front_profile(_LINE.x, "gaussian", **{**_FRONT, "center": v}), np.inf,
+     np.float64(1.0)),
+    ("width", "poly_bump-inf", lambda v: front_profile(_LINE.x, "poly_bump", **{**_FRONT, "width": v}),
+     np.inf, np.int64(6)),
+    ("amplitude", "nan", lambda v: front_profile(_LINE.x, "gaussian", **{**_FRONT, "amplitude": v}), np.nan,
+     np.int64(0)),
+    ("mode", "nan", lambda v: front_profile(_LINE.x, "windowed_cosine", **{**_WINDOWED, "mode": v}), np.nan,
+     np.int64(2)),
+    ("t", "nan", lambda v: make_state(_LINE, _PHI, t=v), np.nan, np.float64(0.5)),
+    ("cutoff", "cosine-nan", lambda v: cosine_integral_constant(cutoff=v), np.nan, np.float64(1e6)),
+    ("t", "str", lambda v: make_state(_LINE, _PHI, t=v), "0", np.int64(0)),
+]
+
+
+@pytest.mark.parametrize("field, call, refused, taken", [case[:1] + case[2:] for case in INPUT_CASES],
+                         ids=[f"{field}-{label}" for field, label, *_ in INPUT_CASES])
+def test_each_input_is_refused_by_its_name_and_numpy_scalars_are_taken(field, call, refused, taken):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call(refused)
+    call(taken)
