@@ -102,7 +102,8 @@ class LineGrid:
     """Uniform grid x_j = x_min + j*dx, j = 0..n-1.
 
     For periodic grids the window is [x_min, x_min + n*dx) and the rightmost
-    node is one spacing short of the period end.
+    node is one spacing short of the period end. x_min and dx are held as
+    Python floats, n as an int, whatever numpy scalar they are given as.
     """
 
     x_min: float
@@ -129,6 +130,9 @@ class LineGrid:
         if not dx > np.spacing(max(abs(self.x_min), abs(last))):
             raise ValueError(f"x_min = {self.x_min} and dx = {self.dx} must give {self.n} increasing "
                              f"finite nodes, got a last node {last}")
+        # a float dx, as x_min: an np.float32 one would make float32 nodes, and
+        # the grid, equal and hashed like its float64 twin, shares its tables
+        object.__setattr__(self, "dx", dx)
 
     @property
     def length(self) -> float:

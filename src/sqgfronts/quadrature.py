@@ -31,11 +31,27 @@ with w_r = B - x0 and w_l = x0 - A the distances to the window ends
 (`_end_term`). Each op adds the signed difference of the T of its two
 kernels, in which the constant cancels. The correction lifts the scheme
 from O(dx^2) to O(dx^4); without it the endpoint error of the slowly
-decaying kernels dominates everything else. What depends on the grid alone
-is built once per grid, on first use: the unit reference and its end term
-(`_unit_reference`), and the end distances, the flat-front end terms,
-`linear_term_quadrature`'s row sums and the spectrum of its circulant
-(`_line_tables`).
+decaying kernels dominates everything else.
+
+End distances, one rule for every op:
+
+  * a kernel finite at its node takes the exact distances: the recentered
+    reference c = 1 of `linear_term_quadrature`, and the strip c = phi + h
+    of `background_term` and `velocity.normal_velocity_background`;
+  * only a kernel singular at a flat end node takes them clamped at dx/2,
+    where T(0, w_l, 0) would be infinite: 1/|s| (c = 0), and the front
+    kernel at the height difference c = phi - phi_inf, which vanishes at
+    the end nodes of a flat front;
+  * a single target (the anchor x0 = 0, a probe) goes through the scalar
+    `_end_term_at`, arrays over the nodes through `_end_term`.
+
+So every op closes a kernel's tails alike, and the normal-velocity routes
+agree with the tendency on an evolved front, whose end slopes have grown,
+to about the reading of its background audit. What depends on the grid alone
+is built once per grid, on first use (`_line_tables`): both sets of end
+distances, the anchored unit reference and its end term, the flat-front
+end terms, `linear_term_quadrature`'s row sums and the spectrum of its
+circulant.
 
 Diagonal rule: every integrand here is a slope contrast times a kernel,
 (rho(x) - rho(x')) K(s, dphi), with K even in s and in dphi and homogeneous
@@ -119,6 +135,7 @@ import math
 import os
 import threading
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,24 +237,6 @@ def _end_term_at(w_r: float, w_l: float, c: float, dx: float) -> float:
         big = abs(w) + root
         total += dx * dx / 12.0 * (w / root) / (root * root) - math.log(big if w >= 0.0 else c / big * c)
     return total
-
-
-@lru_cache(maxsize=8)
-def _unit_reference(grid) -> tuple[np.ndarray, float]:
-    """The anchored unit reference of a line grid, built once per grid: the
-    kernel q = 1/sqrt(x^2 + 1) at the nodes (read-only) and its tails plus
-    end correction E(1) = T(x_b, -x_a, 1), with x_a, x_b the window ends."""
-    x = grid.x
-    q = 1.0 / np.hypot(x, 1.0)
-    q.flags.writeable = False
-    return q, _end_term_at(float(x[-1]), -float(x[0]), 1.0, grid.dx)
-
-
-def _end_distances(grid):
-    """Distances b_r, b_l from every node to the right and left window ends,
-    clamped at dx/2 so the end nodes keep a finite flat-front kernel."""
-    x, half = grid.x, 0.5 * grid.dx
-    return np.maximum(x[-1] - x, half), np.maximum(x - x[0], half)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -622,30 +621,44 @@ def _unit_front_kernel(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the three front-tendency integrals
 
-@lru_cache(maxsize=8)
-def _line_tables(grid) -> tuple:
-    """What the line-mode tendency terms take from the grid alone, built once
-    per grid, every array read-only:
+_LineTables = namedtuple("_LineTables", "exact clamped anchor q e1 flat own kernel ends")
 
-      b       the end distances (b_r, b_l) of `_end_distances`;
-      flat    T(b, 0), the end term of 1/|s| that `nonlinear_term` subtracts;
-      own     `linear_term_quadrature`'s row sums of 1/|s| less the recentered
-              reference, less the trapezoid weight at the node, which
-              carries the reference's smooth value -phi_x;
-      kernel  the `_circulant_spectrum` of 1/|s| without its diagonal;
-      ends    T(b, 0) - T(b, 1), `linear_term_quadrature`'s end terms.
+
+@lru_cache(maxsize=8)
+def _line_tables(grid) -> _LineTables:
+    """What the line ops take from the grid alone, built once per grid, every
+    array read-only; the end distances follow the rule of the module
+    docstring, x_a and x_b are the window ends:
+
+      exact    the end distances (b_r, b_l) = (x_b - x, x - x_a), for the
+               kernels finite at their node;
+      clamped  the same clamped at dx/2, for the kernels singular there;
+      anchor   (x_b, -x_a), the end distances of the anchor x0 = 0;
+      q        the anchored unit reference 1/sqrt(x^2 + 1) at the nodes;
+      e1       its end term E(1) = T(anchor, 1);
+      flat     T(clamped, 0), the end term of 1/|s| that `nonlinear_term`
+               subtracts;
+      own      `linear_term_quadrature`'s row sums of 1/|s| less the
+               recentered reference, less the trapezoid weight at the node,
+               which carries the reference's smooth value -phi_x;
+      kernel   the `_circulant_spectrum` of 1/|s| without its diagonal;
+      ends     T(clamped, 0) - T(exact, 1), `linear_term_quadrature`'s end
+               terms.
     """
-    n, dx = grid.n, grid.dx
-    b = _end_distances(grid)
-    flat = _end_term(*b, 0.0, dx)
+    x, n, dx = grid.x, grid.n, grid.dx
+    exact = (x[-1] - x, x - x[0])
+    clamped = tuple(np.maximum(b, 0.5 * dx) for b in exact)
+    anchor = (float(x[-1]), -float(x[0]))
+    flat = _end_term(*clamped, 0.0, dx)
     sep = _separation(grid)[n - 1:]  # by node offset 0..n-1
     inv_s = 1.0 / sep
     inv_s[0] = 0.0
     own = _even_row_sum(inv_s - 1.0 / np.hypot(sep, 1.0)) - _trapezoid_weights(n)
-    tables = (flat, own, _circulant_spectrum(inv_s), flat - _end_term(*b, 1.0, dx))
-    for table in (*b, *tables):
+    tables = _LineTables(exact, clamped, anchor, 1.0 / np.hypot(x, 1.0), _end_term_at(*anchor, 1.0, dx),
+                         flat, own, _circulant_spectrum(inv_s), flat - _end_term(*exact, 1.0, dx))
+    for table in (*exact, *clamped, tables.q, flat, own, tables.kernel, tables.ends):
         table.flags.writeable = False
-    return (b, *tables)
+    return tables
 
 
 def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
@@ -681,8 +694,8 @@ def nonlinear_term(state: FrontState, phix: np.ndarray) -> np.ndarray:
     out = _pair_sum(contrast, g, rho, _unit_front_kernel(rho) - 1.0, symmetric=True, threaded=True)
     if not g.periodic:
         # beyond the window: rho(x) * [1/sqrt(s^2 + (phi(x) - phi_inf)^2) - 1/|s|]
-        b, flat, *_ = _line_tables(g)
-        out += rho * (_end_term(*b, phi - far_field_value(state), dx) - flat)
+        t = _line_tables(g)
+        out += rho * (_end_term(*t.clamped, phi - far_field_value(state), dx) - t.flat)
     return out
 
 
@@ -707,11 +720,11 @@ def linear_term_quadrature(state: FrontState, phix: np.ndarray) -> np.ndarray:
         raise ValueError("linear_term_quadrature is line-mode only; periodic grids use the spectral multiplier")
     rho = np.asarray(phix, dtype=np.float64)
     diag_coda = _diagonal_jump_correction(1.0, rho, g)
-    _, _, own, kernel, ends = _line_tables(g)
+    t = _line_tables(g)
     # rho(x) times the row sums of 1/|s| less the recentered reference, whose
     # node carries the smooth value -phi_x; minus the product with w rho
-    out = (rho * own - _even_toeplitz_product(kernel, _trapezoid_weights(g.n) * rho)) * g.dx
-    return out + rho * ends + diag_coda
+    out = (rho * t.own - _even_toeplitz_product(t.kernel, _trapezoid_weights(g.n) * rho)) * g.dx
+    return out + rho * t.ends + diag_coda
 
 
 def _strip_heights(lo: float, hi: float, dx: float) -> np.ndarray:
@@ -777,14 +790,14 @@ def background_term(state: FrontState, phix: np.ndarray, params: KernelParams | 
     if g.periodic:
         raise ValueError("background_term is line-mode only")
     h = resolve_depth(state, params)
-    x, n, dx = g.x, g.n, g.dx
+    dx = g.dx
     rho = np.asarray(phix, dtype=np.float64)
     c1 = state.phi + h  # > 0 by resolve_depth
-    q, e1 = _unit_reference(g)
-    w = _trapezoid_weights(n)
+    t = _line_tables(g)
+    w = _trapezoid_weights(g.n)
     # trapezoid of q less the strip row sum, whose node carries 1/c1
-    out = (float(w @ q) - _strip_row_sums(g, c1) - w / c1) * dx
-    ends = e1 - _end_term(x[-1] - x, x - x[0], c1, dx)
+    out = (float(w @ t.q) - _strip_row_sums(g, c1) - w / c1) * dx
+    ends = t.e1 - _end_term(*t.exact, c1, dx)
     return rho * (out + ends - 2.0 * np.log(c1))
 
 

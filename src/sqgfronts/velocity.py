@@ -26,7 +26,7 @@ by trapezoid plus tails: u = -(trap(front - q) dx + E_probe(|y - phi_inf|)
 - E(1)) and v = -(trap(rho * (front - q)) + q . (w rho)) dx, with
 q = 1/sqrt(x'^2 + 1), w the trapezoid weights and E the end terms below.
 q and E(1) depend on the grid alone and are built once per grid
-(`quadrature._unit_reference`); the complex nodes x' + i phi', the weight
+(`quadrature._line_tables`); the complex nodes x' + i phi', the weight
 matrix [w, w rho] and q . (w rho) depend on the state alone and are kept
 for the last state sampled (`_probe_tables`, cached under the state, which
 hashes by identity), so a sample is five array operations over the nodes.
@@ -46,8 +46,10 @@ separate (their agreement is an acceptance check, not an assumption):
 
 All quadratures share the trapezoid + closed-form tails + Euler-Maclaurin
 endpoint treatment of `quadrature`, with the tails and endpoint terms from its
-`_end_term`. Line mode only: the anchored reference kernel has no periodic
-analogue.
+`_end_term` and `_end_term_at`, at the end distances its one rule gives each
+kernel (`quadrature._line_tables`): the strip's exact, the front kernel's
+clamped, the anchor's and a probe's by the scalar form. Line mode only: the
+anchored reference kernel has no periodic analogue.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .quadrature import (
     _strip_row_sums,
     _trapezoid_weights,
     _unit_front_kernel,
-    _unit_reference,
     resolve_depth,
 )
 
@@ -128,9 +129,9 @@ def galilean_shift(state: FrontState, params: KernelParams | None = None) -> Gal
     c_inf = far_field_value(state)
     d = h + c_inf  # > 0: phi_inf, the mean of two samples, is >= min(phi)
 
-    q, e1 = _unit_reference(g)
+    t = _line_tables(g)
     denom = np.hypot(x, h + state.phi)
-    ubar = -(_trapezoid(q - 1.0 / denom) * dx + e1 - _end_term_at(float(x[-1]), -float(x[0]), d, dx))
+    ubar = -(_trapezoid(t.q - 1.0 / denom) * dx + t.e1 - _end_term_at(*t.anchor, d, dx))
 
     vbar = _trapezoid(rho / denom) * dx  # integrand vanishes at the ends
     return GalileanShift(ubar=ubar, vbar=vbar, h=h)
@@ -144,11 +145,10 @@ def _probe_tables(state: FrontState) -> tuple:
     and heights phi' as lists. Kept for the last state sampled; a state
     hashes by identity and never changes, so its tables never go stale."""
     g = state.grid
-    x = g.x
-    q, e1 = _unit_reference(g)
+    x, t = g.x, _line_tables(g)
     w = _trapezoid_weights(g.n)
     w_rho = w * state.slope
-    return (x + 1j * state.phi, q, np.column_stack((w, w_rho)), float(q @ w_rho), e1,
+    return (x + 1j * state.phi, t.q, np.column_stack((w, w_rho)), float(t.q @ w_rho), t.e1,
             far_field_value(state), x.tolist(), state.phi.tolist())
 
 
@@ -245,8 +245,8 @@ def normal_velocity_background(state: FrontState, params: KernelParams | None = 
     front = _pair_sum(lambda i0, i1: _front_kernel(rows[i0:i1], cols[:, i0:], s2[i0:i1, i0:]), g, rho,
                       _unit_front_kernel(rho), symmetric=True)
     strip = _strip_row_sums(g, c1) + _trapezoid_weights(n) / c1
-    b = _line_tables(g)[0]
-    star = front - rho * strip * dx + rho * (_end_term(*b, d1, dx) - _end_term(*b, c1, dx))
+    t = _line_tables(g)
+    star = front - rho * strip * dx + rho * (_end_term(*t.clamped, d1, dx) - _end_term(*t.exact, c1, dx))
     return star - 2.0 * np.log(c1) * rho
 
 
@@ -279,7 +279,8 @@ def normal_velocity_bmo(state: FrontState, shift: GalileanShift, params: KernelP
     # the reference is smooth at x' = x: the kink is the front kernel's
     out = _pair_sum(anchored, g, rho, _unit_front_kernel(rho))
     # front kernel at the target's clamped end distances, reference at the anchor
-    ends = _end_term(*_line_tables(g)[0], d1, dx) - _end_term(x[-1], -x[0], d, dx)
+    t = _line_tables(g)
+    ends = _end_term(*t.clamped, d1, dx) - _end_term_at(*t.anchor, d, dx)
     return out + rho * ends + rho * shift.ubar - shift.vbar
 
 
@@ -301,6 +302,7 @@ class BoxSpec:
 
     A bool, a string, None or a non-finite value is refused with a
     ValueError that names the field (`grid._real`); numpy scalars are taken.
+    So is a probe field that is one number or None rather than a sequence.
     size is held as a float.
     """
 
@@ -316,7 +318,10 @@ class BoxSpec:
             raise ValueError(f"box n must be even and >= 16, got {self.n}")
         half = 0.5 * self.size
         for name in ("probe_x", "probe_y"):
-            values = tuple(_real(value, name) for value in getattr(self, name))
+            try:
+                values = tuple(_real(value, name) for value in getattr(self, name))
+            except TypeError:  # not iterable: one number, or None
+                raise ValueError(f"{name} must be a sequence of coordinates, got {getattr(self, name)!r}") from None
             if not values:
                 raise ValueError(f"{name} is empty: the check would compare no probe")
             for value in values:

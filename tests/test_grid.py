@@ -184,6 +184,17 @@ def test_spectral_derivative_exact_on_modes():
         assert np.max(np.abs(d - xi * np.cos(xi * g.x))) < 1e-11
 
 
+def test_line_grid_holds_dx_as_a_float():
+    # an np.float32 dx held as given would give float32 nodes, tables and
+    # samples; and as the grid equals and hashes like its float64 twin,
+    # whichever runs first would fill the per-grid tables that both read
+    narrow = LineGrid(x_min=-25.6, n=512, dx=np.float32(0.1))
+    twin = LineGrid(x_min=-25.6, n=512, dx=float(np.float32(0.1)))
+    assert type(narrow.dx) is float and narrow == twin and hash(narrow) == hash(twin)
+    u = [velocity_at(make_state(g, 0.5 * np.exp(-(g.x / 2.0) ** 2)), 0.5, 3.0).u for g in (narrow, twin)]
+    assert type(u[0]) is float and u[0] == u[1]
+
+
 def test_spectral_derivative_line_grid_rejected():
     g = make_grid(0.0, 2 * np.pi, 128)
     st = make_state(g, np.sin(g.x))

@@ -52,7 +52,6 @@ from sqgfronts.grid import stencil_derivative
 from sqgfronts.quadrature import (
     _by_offset,
     _diagonal_jump_correction,
-    _end_distances,
     _end_term,
     _even_row_sum,
     _pair_sum,
@@ -405,9 +404,9 @@ def test_pair_sum_symmetric_matches_direct_double_sum(monkeypatch, ends, block_r
     # keeps the case ids stable
     if block_rows is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 1 if block_rows == 1 else block_rows * n)
-        starts, ends = quadrature._row_blocks(n, True)
-        assert ends[0] == block_rows
-        last = ends[-1] - starts[-1]  # cut short by the grid's end
+        starts, stops = quadrature._row_blocks(n, True)
+        assert stops[0] == block_rows
+        last = stops[-1] - starts[-1]  # cut short by the grid's end
         assert block_rows == 1 or len(starts) > 1 and last < quadrature._BLOCK_ELEMENTS // last
     rng = np.random.default_rng(11)
     kern = rng.standard_normal((n, n))
@@ -999,8 +998,8 @@ def _linear_term_dense(state, phix):
     inv_s = _by_offset(1.0 / sep, n)
     bare = _pair_sum(lambda i0, i1: inv_s[i0:i1].copy(), g, phix, 1.0)
     own = _direct_pair_sum(_by_offset(-1.0 / np.hypot(sep, 1.0), n), None, True, -1.0)
-    b = _end_distances(g)
-    return bare + phix * own * dx + phix * (_end_term(*b, 0.0, dx) - _end_term(*b, 1.0, dx))
+    t = quadrature._line_tables(g)  # 1/|s| at the clamped end distances, the reference at the exact
+    return bare + phix * own * dx + phix * (_end_term(*t.clamped, 0.0, dx) - _end_term(*t.exact, 1.0, dx))
 
 
 def _background_term_dense(state, phix, params):
@@ -1113,16 +1112,20 @@ def test_end_term_at_matches_end_term():
 
 
 def test_line_tables_are_built_once_per_grid():
-    # what the line terms take from the grid alone, read-only and kept per
-    # grid; the end terms equal the ones formed afresh bit for bit
+    # what the line ops take from the grid alone, read-only and kept per
+    # grid; the end distances and end terms equal the ones formed afresh bit
+    # for bit: exact for a kernel finite at its node, clamped at dx/2 for
+    # 1/|s|, singular at the end nodes
     g = make_grid(-30.0, 60.0, 256)
-    b, flat, own, kernel, ends = quadrature._line_tables(g)
-    assert quadrature._line_tables(make_grid(-30.0, 60.0, 256))[1] is flat
-    assert not any(a.flags.writeable for a in (*b, flat, own, kernel, ends))
-    fresh = _end_distances(g)
-    assert all(np.array_equal(x, y) for x, y in zip(b, fresh))
-    assert np.array_equal(flat, _end_term(*fresh, 0.0, g.dx))
-    assert np.array_equal(ends, _end_term(*fresh, 0.0, g.dx) - _end_term(*fresh, 1.0, g.dx))
+    x, dx = g.x, g.dx
+    t = quadrature._line_tables(g)
+    assert quadrature._line_tables(make_grid(-30.0, 60.0, 256)) is t
+    assert not any(a.flags.writeable for a in (*t.exact, *t.clamped, t.q, t.flat, t.own, t.kernel, t.ends))
+    assert all(np.array_equal(a, b) for a, b in zip(t.exact, (x[-1] - x, x - x[0])))
+    assert all(np.array_equal(a, np.maximum(b, 0.5 * dx)) for a, b in zip(t.clamped, t.exact))
+    assert t.exact[0][-1] == t.exact[1][0] == 0.0 and t.clamped[0][-1] == t.clamped[1][0] == 0.5 * dx
+    assert np.array_equal(t.flat, _end_term(*t.clamped, 0.0, dx))
+    assert np.array_equal(t.ends, t.flat - _end_term(*t.exact, 1.0, dx))
     # a second call reads the tables the first one left as they were
     st = make_state(g, 0.3 * np.exp(-g.x ** 2))
     first = linear_term_quadrature(st, st.slope)
@@ -1130,8 +1133,11 @@ def test_line_tables_are_built_once_per_grid():
 
 
 def test_unit_reference_is_built_once_per_grid():
+    # the anchored unit reference, its end term at the anchor's end
+    # distances, in the same per-grid table
     g = make_grid(-30.0, 60.0, 256)
-    q, e1 = quadrature._unit_reference(g)
-    assert quadrature._unit_reference(make_grid(-30.0, 60.0, 256))[0] is q
-    assert np.array_equal(q, 1.0 / np.hypot(g.x, 1.0)) and not q.flags.writeable
-    assert e1 == pytest.approx(float(_end_term(g.x[-1], -g.x[0], 1.0, g.dx)), abs=1e-15)
+    t = quadrature._line_tables(g)
+    assert quadrature._line_tables(make_grid(-30.0, 60.0, 256)).q is t.q
+    assert np.array_equal(t.q, 1.0 / np.hypot(g.x, 1.0)) and not t.q.flags.writeable
+    assert t.anchor == (g.x[-1], -g.x[0])
+    assert t.e1 == pytest.approx(float(_end_term(g.x[-1], -g.x[0], 1.0, g.dx)), abs=1e-15)

@@ -15,16 +15,19 @@ import pytest
 from sqgfronts import (
     BoxSpec,
     KernelParams,
+    SimConfig,
     box_riesz_crosscheck,
     far_field_value,
     finite_difference_derivative,
     front_profile,
     galilean_shift,
+    integrate,
     make_grid,
     make_state,
     normal_velocity_background,
     normal_velocity_bmo,
     resolve_depth,
+    rhs,
     velocity,
     velocity_at,
 )
@@ -34,8 +37,8 @@ from test_quadrature import _direct_pair_sum
 from sqgfronts.quadrature import (
     _by_offset,
     _diagonal_jump_correction,
-    _end_distances,
     _end_term,
+    _line_tables,
     _log_w_plus_root,
     _separation,
 )
@@ -150,6 +153,20 @@ def test_normal_velocity_routes_agree():
     assert measure_velocity_routes(1200, [GAUSSIAN], 1.0)[0] < 1e-6
 
 
+def test_normal_velocity_routes_agree_with_rhs_on_an_evolved_front():
+    # by t = 0.1 the end slopes have grown from about 1e-97 to 1e-6, so the
+    # three assemblies agree only if each closes a kernel's tails at the same
+    # end distances: 8.6e-12 measured, 5.0e-7 while the strip and the linear
+    # term's reference took the clamped ones
+    cfg = SimConfig(grid=make_grid(-30.0, 60.0, 512), t_end=0.1, dt=0.002, initial_family="gaussian",
+                    initial_params=dict(GAUSSIAN[1]))
+    final = integrate(cfg).final
+    assert np.min(np.abs(final.slope[[0, -1]])) > 1e-7
+    tendency = rhs(final, cfg)
+    for route in (normal_velocity_background(final), normal_velocity_bmo(final, galilean_shift(final))):
+        assert np.max(np.abs(route - tendency)) <= 1e-9
+
+
 def _normal_velocity_background_dense(state, depths):
     # normal_velocity_background at each depth h in `depths`, with both sums
     # as direct double sums on full rows: the front kernel against the slope
@@ -160,14 +177,14 @@ def _normal_velocity_background_dense(state, depths):
     phi, rho = state.phi, state.slope
     s2 = _by_offset(_separation(g) ** 2, n)
     front = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(np.subtract.outer(phi, phi))), rho, True)
-    b = _end_distances(g)
-    front_end = _end_term(*b, phi - far_field_value(state), dx)
+    t = _line_tables(g)  # the front kernel at the clamped end distances, the strip at the exact
+    front_end = _end_term(*t.clamped, phi - far_field_value(state), dx)
     diag_coda = _diagonal_jump_correction(1.0 / np.sqrt(1.0 + rho * rho), rho, g)
     out = []
     for h in depths:
         c1 = phi + resolve_depth(state, KernelParams(h=h))
         strip = _direct_pair_sum(1.0 / np.sqrt(s2 + np.square(c1)[:, None]), None, True, 1.0 / c1)
-        star = (front - rho * strip) * dx + rho * (front_end - _end_term(*b, c1, dx)) + diag_coda
+        star = (front - rho * strip) * dx + rho * (front_end - _end_term(*t.exact, c1, dx)) + diag_coda
         out.append(star - 2.0 * np.log(c1) * rho)
     return out
 
@@ -276,6 +293,9 @@ def test_box_spec_refuses_a_non_real_side(size):
     (dict(probe_y=(1j,)), "probe_y"),
     (dict(probe_y=(False,)), "probe_y"),
     (dict(probe_x=(10**400,)), "probe_x"),
+    # one number or None, not a sequence
+    (dict(probe_x=3.0), "probe_x"),
+    (dict(probe_y=None), "probe_y"),
 ])
 def test_box_spec_refuses_probes_outside_the_box(probes, name):
     # such a probe would snap to an edge node, and an empty tuple would
