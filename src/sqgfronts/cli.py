@@ -18,13 +18,15 @@ record holds name, measured, tolerance, passed and wall_s.
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 config error (including a numeric flag out of range). Config files are JSON;
-`load_config` checks their keys and object shapes, and the library types it
-builds (`make_grid`, `front_profile`, `SimConfig`) check each value's type
-and range, with messages that `load_config` prefixes by the field's path, so
-each refusal names its field. CSV bodies are deterministic for a fixed config,
-and bit-identical whatever the number of cores the dense pair sums run on;
-manifests add wall time and the number of usable cores (both excluded from
-the determinism contract).
+`load_config` checks their keys and object shapes, and the library code it
+calls (`make_grid`, `SimConfig`, and `initial_state`, which builds the front
+and refuses a line front that leaks) checks each value's type and range,
+with messages that `load_config` prefixes by the field's path, so each
+refusal names its field. A config that loads has a start state that
+`simulate` and `velocity-map` both take. CSV bodies are deterministic for a
+fixed config, and bit-identical whatever the number of cores the dense pair
+sums run on; manifests add wall time and the number of usable cores (both
+excluded from the determinism contract).
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     """Parse and validate a JSON run config; returns (SimConfig, raw echo).
 
     Every field changes the run; an unknown one is an error. The grid's
-    periodicity picks the backend.
+    periodicity picks the backend. The start state is built once
+    (`initial_state`), so a front the config cannot build, or a line front
+    that leaks past the middle half of its grid, is refused here.
     """
     p = Path(path)
     if not p.is_file():
@@ -120,17 +124,17 @@ def load_config(path: str) -> tuple[SimConfig, dict]:
     family = _get(ispec, "family", "initial")
     params = _get(ispec, "params", "initial", required=False, default={})
     _expect(isinstance(params, dict), "initial.params", "must be an object")
-    try:
-        front_profile(grid.x, family, **params)
-    except (TypeError, ValueError) as e:
-        # a refusal that starts with a parameter's name is that parameter's
-        where = "initial.params." if str(e).split(" ", 1)[0] in params else "initial: "
-        raise UsageError(where + str(e).replace(f"_{family}()", f"{family}")) from None
 
     with _usage():
         cfg = SimConfig(grid=grid, t_end=_get(raw, "t_end", "<root>"), initial_family=family,
                         initial_params=dict(params), dt=_get(raw, "dt", "<root>", required=False),
                         output_stride=_get(raw, "output_stride", "<root>", required=False, default=1))
+    try:
+        initial_state(cfg)
+    except (TypeError, ValueError) as e:
+        # a refusal that starts with a parameter's name is that parameter's
+        where = "initial.params." if str(e).split(" ", 1)[0] in params else "initial: "
+        raise UsageError(where + str(e).replace(f"_{family}()", f"{family}")) from None
     return cfg, raw
 
 
@@ -446,7 +450,7 @@ def cmd_simulate(args) -> int:
     cfg, raw = load_config(args.config)
     out = Path(args.out)
     t0 = time.perf_counter()
-    with _usage():  # a dt the grid cannot take, a line front that leaks
+    with _usage():  # a dt the start state cannot take, or no dt on the line
         traj = integrate(cfg)
     wall = time.perf_counter() - t0
     mean_drift, l2_drift = invariant_drift(traj)
@@ -492,8 +496,6 @@ def cmd_verify(args) -> int:
 
 def cmd_velocity_map(args) -> int:
     cfg, _ = load_config(args.config)
-    if cfg.grid.periodic:
-        raise UsageError("velocity-map needs a line backend config (anchored velocity kernel)")
     xs, ys = _numbers(args.probe_x, "--probe-x"), _numbers(args.probe_y, "--probe-y")
 
     state = initial_state(cfg)

@@ -160,8 +160,18 @@ class Trajectory:
 
 
 def initial_state(cfg: SimConfig) -> FrontState:
+    """The config's front at t = 0, the one place a config's front is built.
+
+    A line front must be flat outside the middle half of its grid, the
+    precondition of the line tails (`validate_line_support`). One that leaks
+    is refused here with a ValueError that names the defect, whether the
+    state is then stepped or only sampled.
+    """
     phi, _ = front_profile(cfg.grid.x, cfg.initial_family, **cfg.initial_params)
-    return make_state(cfg.grid, phi, t=0.0)
+    state = make_state(cfg.grid, phi, t=0.0)
+    if not cfg.grid.periodic:
+        validate_line_support(state)
+    return state
 
 
 def rhs(state: FrontState, cfg: SimConfig) -> np.ndarray:
@@ -301,17 +311,19 @@ def integrate(cfg: SimConfig, state: FrontState | None = None) -> Trajectory:
     Every step is dt but the last, which ends on t_end exactly. A slope
     beyond the graph-assumption threshold stops the run cleanly and returns
     the partial trajectory with aborted=True. A line start state must be flat
-    outside the middle half of its grid (`validate_line_support`).
+    outside the middle half of its grid (`validate_line_support`):
+    `initial_state` refuses a config's front that leaks, and integrate checks
+    a state its caller passes in.
     """
+    periodic = cfg.grid.periodic
     if state is None:
         state = initial_state(cfg)
     elif state.grid != cfg.grid:
         raise ValueError("state grid does not match cfg.grid")
     elif state.t != 0.0:
         raise ValueError(f"integrate starts at t = 0, got a state at t = {state.t}")
-    periodic = cfg.grid.periodic
-    if not periodic:
-        validate_line_support(state)  # the precondition of the line tails
+    elif not periodic:
+        validate_line_support(state)
 
     if cfg.dt is not None:
         dt = cfg.dt
@@ -362,9 +374,8 @@ def scaling_galilean_check(cfg: SimConfig, k: float) -> float:
     g = cfg.grid
 
     grid_b = LineGrid(x_min=g.x_min * k, n=g.n, dx=g.dx * k, periodic=g.periodic)
-    base_phi, _ = front_profile(g.x, cfg.initial_family, **cfg.initial_params)
-    state_a = make_state(g, base_phi, t=0.0)
-    state_b = make_state(grid_b, k * base_phi, t=0.0)  # node j of grid_b is k times node j of g
+    state_a = initial_state(cfg)
+    state_b = make_state(grid_b, k * state_a.phi, t=0.0)  # node j of grid_b is k times node j of g
 
     if cfg.dt is not None:
         dt_a = cfg.dt

@@ -229,13 +229,14 @@ def _end_term_at(w_r: float, w_l: float, c: float, dx: float) -> float:
     """`_end_term` for one target, by scalar `math` calls. Finite wherever
     every |w| + sqrt(w^2 + c^2) is: w / root^3 is formed as
     (w / root) / root^2, and c^2 / big as c / big * c with c / big <= 1,
-    neither of which can overflow. Past that it is infinite, or raises
-    ValueError (math.log(0)) where a w < 0 overflowed."""
+    neither of which can overflow. Past that it is not finite: where a
+    w < 0 overflowed, c^2 / big is 0 and its log tail is +inf."""
     total = 0.0
     for w in (w_r, w_l):
         root = math.hypot(w, c)
         big = abs(w) + root
-        total += dx * dx / 12.0 * (w / root) / (root * root) - math.log(big if w >= 0.0 else c / big * c)
+        tail = big if w >= 0.0 else c / big * c
+        total += dx * dx / 12.0 * (w / root) / (root * root) - (math.log(tail) if tail > 0.0 else -math.inf)
     return total
 
 

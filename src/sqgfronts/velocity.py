@@ -207,10 +207,7 @@ def velocity_at(state: FrontState, x: float, y: float, shift: GalileanShift | No
     np.reciprocal(kernel, out=kernel)
     kernel -= q  # trap(front - q) stays one sum: split, it moved u by 2e-14
     t_u, t_v = (kernel @ weights).tolist()
-    try:
-        u = -(t_u * dx + _end_term_at(nodes[-1] - x, x - nodes[0], abs(y - c_inf), dx) - e1)
-    except ValueError:  # math.log(0): an end distance overflowed, see _end_term_at
-        u = math.nan
+    u = -(t_u * dx + _end_term_at(nodes[-1] - x, x - nodes[0], abs(y - c_inf), dx) - e1)
     if not math.isfinite(u):
         raise ValueError(f"probe ({x}, {y}) is too far from the front: its end terms overflow")
     v = -(t_v + q_rho) * dx
@@ -482,8 +479,9 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     its kernels at the band rows' offsets from the probe rows, so memory is
     O(n band rows). u is compared against the quadrature
     velocity minus the flat-background profile 2 log|y+h|, v against the
-    quadrature v, at probes away from the front. Returns a report dict with
-    the sup mismatch.
+    quadrature v, at probes away from the strip: a probe within five
+    smoothing scales and two cells of it, read against the same cubic
+    heights, is refused. Returns a report dict with the sup mismatch.
 
     Periodic images contribute O(h*y/size^2) systematic error; doubling the
     box at fixed cell size halves it (better, in practice).
@@ -498,19 +496,17 @@ def box_riesz_crosscheck(state: FrontState, box: BoxSpec, params: KernelParams |
     d = size / n
     coords = -0.5 * size + d * np.arange(n)
     sigma = _SMOOTHING_CELLS * d
-    *_, c_inf, nodes, heights = _probe_tables(state)
+    phi_cols = _cubic_at(state.grid, state.phi, coords, far_field_value(state))
 
     cols = [int(np.argmin(np.abs(coords - xp))) for xp in box.probe_x]
     rows = [int(np.argmin(np.abs(coords - yp))) for yp in box.probe_y]
     margin = 5.0 * sigma + 2.0 * d
     for ic in cols:
-        phi_here = _height_at(nodes, heights, c_inf, float(coords[ic]))
         for jc in rows:
             yg = float(coords[jc])
-            if not (yg > phi_here + margin or yg < -h - margin):
+            if not (yg > phi_cols[ic] + margin or yg < -h - margin):
                 raise ValueError(f"probe ({float(coords[ic])}, {yg}) is inside or too close to the strip")
 
-    phi_cols = _cubic_at(state.grid, state.phi, coords, c_inf)
     u_box, v_box = _riesz_at_probes(*_strip_temperature(coords, phi_cols, h, sigma), d, rows, cols)
 
     mism_u = 0.0

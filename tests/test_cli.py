@@ -378,6 +378,25 @@ def test_simulate_refuses_a_line_front_that_leaks(tmp_path, capsys):
     assert "defect" in capsys.readouterr().err
 
 
+# the leaky front of test_simulate_refuses_a_line_front_that_leaks
+LEAKY_CFG = {**LINE_CFG, "initial": {"family": "windowed_cosine",
+                                     "params": {"amplitude": 0.1, "mode": 1.0, "plateau": 10.0, "support": 20.0}}}
+
+
+def test_load_config_refuses_a_line_front_that_leaks(tmp_path):
+    with pytest.raises(UsageError, match=r"^initial: front support leaks"):
+        load_config(_write_cfg(tmp_path, LEAKY_CFG))
+
+
+def test_velocity_map_refuses_a_line_front_that_leaks(tmp_path, capsys):
+    # the velocity of a front that leaks is read with the same wrong tails
+    # that simulate refuses to step
+    out = tmp_path / "vm"
+    assert main(["velocity-map", "--config", _write_cfg(tmp_path, LEAKY_CFG), "--out", str(out)]) == 2
+    assert "defect" in capsys.readouterr().err
+    assert not (out / "velocity_map.csv").exists()
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

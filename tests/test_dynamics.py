@@ -269,6 +269,15 @@ def test_step_rk4_rejects_bad_dt():
         step_rk4(st, np.inf, cfg)
 
 
+def test_step_rk4_refuses_a_non_finite_front(monkeypatch):
+    # a tendency of 1e308 at dt = 1 keeps every stage finite, and b + c
+    # overflows in the update
+    cfg = _line_cfg(64, 1.0, 1.0)
+    monkeypatch.setattr(dynamics, "rhs", lambda state, cfg: np.full(state.grid.n, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r"^non-finite front after step at t = 0\.0;"):
+        step_rk4(initial_state(cfg), 1.0, cfg)
+
+
 def test_integrate_periodic_caps_dt():
     # the start state's stability step 2 sqrt 2 / (Lambda f) is 0.023 for this
     # front; run to t = 1 it stays stable up to dt = 0.03 and blows up at 0.035

@@ -1111,6 +1111,12 @@ def test_end_term_at_matches_end_term():
         assert abs(quadrature._end_term_at(w_r, w_l, c, dx) - want) <= 1e-15 * max(1.0, abs(want))
 
 
+def test_end_term_at_is_infinite_where_an_end_distance_overflows():
+    # beyond a window end, |w| + root overflows and c^2 / (|w| + root) is 0:
+    # its log tail is +inf, not math.log(0)'s ValueError
+    assert quadrature._end_term_at(-1.7e308, 1.0, 3.0, 0.1) == np.inf
+
+
 def test_line_tables_are_built_once_per_grid():
     # what the line ops take from the grid alone, read-only and kept per
     # grid; the end distances and end terms equal the ones formed afresh bit
